@@ -15,19 +15,28 @@ components never share a projection.
 Rectangle geometry never changes after creation, and a set of rectangles
 keeps the same induced visibility edges for as long as all its members
 are alive.  Each table entry is therefore computed exactly once — at the
-step creating the newest rectangle of its key — and every later lookup
-routes to that step.
+step creating the newest rectangle of its key — and one table serves
+every later lookup.
+
+Label sets are ℓ-bit masks (bit t = the t-th smallest pattern label), and
+per-mask min/max x- and y-ranks are tabulated once per call.  A table key
+is the sorted key tuple K with the tuple of its members' masks; the value
+is the mask sent to the first merged child in the winning split, and only
+satisfiable subproblems are stored.  The components of a split and the
+cross-component order pairs depend only on which children receive labels
+(j2 only, both, or j1 only), so they are computed once per key and shape;
+a split is then tested by comparing tabulated extents and looking its
+components up.  Splits are tried in ascending submask order, so the
+recorded winner is the least mask that works.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     Embedding,
-    Interval,
     MergeSequence,
     MergeStep,
     Permutation,
@@ -89,19 +98,6 @@ class VisibilityGraph:
     def __contains__(self, v: int) -> bool:
         return v in self._box
 
-    @property
-    def vertices(self) -> FrozenSet[int]:
-        return frozenset(self._box)
-
-    def box(self, v: int) -> Box:
-        return self._box[v]
-
-    def interval(self, v: int, alpha: int) -> Interval:
-        if alpha not in (1, 2):
-            raise ValidationError("axis must be 1 or 2, got %d" % alpha)
-        x1, x2, y1, y2 = self._box[v]
-        return Interval(x1, x2) if alpha == 1 else Interval(y1, y2)
-
     def neighbor_set(self, v: int) -> Set[int]:
         return self._adj[0][v] | self._adj[1][v]
 
@@ -113,9 +109,6 @@ class VisibilityGraph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbor_set(v))
-
-    def adjacency(self) -> Dict[int, List[int]]:
-        return {v: self.neighbors(v) for v in self._box}
 
     # -- update -------------------------------------------------------------
 
@@ -205,95 +198,43 @@ def connected_sets(graph: VisibilityGraph, v: int, l: int) -> List[Tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# subproblems
+# the dynamic program
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Distribution:
-    """Assignment of pattern labels to the rectangles of a key set; labels
-    absent from ``assignment`` are unassigned.  Parts are disjoint because
-    this is a mapping; admissibility additionally demands a nonempty part
-    for every rectangle of the key."""
-
-    assignment: Mapping[int, int]  # pattern label -> rectangle index
-
-    def part(self, rect: int) -> FrozenSet[int]:
-        return frozenset(s for s, r in self.assignment.items() if r == rect)
-
-    def range(self) -> FrozenSet[int]:
-        return frozenset(self.assignment)
-
-    def code(self, key: Tuple[int, ...], labels: Sequence[int]) -> int:
-        parts = {r: [] for r in key}
-        for s, r in self.assignment.items():
-            parts[r].append(s)
-        return _encode_parts(key, parts, labels)
+def _require_canonical(pi: Permutation) -> None:
+    n = len(pi)
+    if set(pi.labels) != set(range(1, n + 1)):
+        raise ValidationError("target labels must be 1..n to follow a merge sequence")
 
 
-def _encode_parts(key: Tuple[int, ...], parts: Mapping[int, object],
-                  labels: Sequence[int]) -> int:
-    """Base-(|key|+1) positional code over the pattern labels in label
-    order: digit 0 = unassigned, digit t = assigned to the t-th smallest
-    rectangle of the key."""
-    digit: Dict[int, int] = {}
-    for t, r in enumerate(key):
-        for s in parts[r]:
-            digit[s] = t + 1
-    base = len(key) + 1
-    c = 0
-    for s in labels:
-        c = c * base + digit.get(s, 0)
-    return c
+def _extents(ranks: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Per label mask (bit t = the t-th smallest label): the least and the
+    greatest of the ranks of its labels; entry 0 is unused."""
+    lo = [0] * (1 << len(ranks))
+    hi = [0] * (1 << len(ranks))
+    for mask in range(1, len(lo)):
+        low = mask & -mask
+        r = ranks[low.bit_length() - 1]
+        rest = mask ^ low
+        lo[mask] = min(r, lo[rest]) if rest else r
+        hi[mask] = max(r, hi[rest]) if rest else r
+    return lo, hi
 
 
-class SubproblemTable:
-    """Satisfiable subproblems, stored at the step that created the newest
-    rectangle of their key.
+def _mask_tuples(ell: int) -> List[List[Tuple[int, ...]]]:
+    """Entry m: every ordered m-tuple of disjoint nonempty label masks."""
+    full = (1 << ell) - 1
+    out: List[List[Tuple[int, ...]]] = [[] for _ in range(ell + 1)]
 
-    Because geometry is static after creation, a subproblem's answer
-    cannot change while every rectangle of its key is alive; storing it
-    once and routing later lookups to the creation step is equivalent to
-    a per-step table with invalidation of keys meeting the merged pair.
-    A stored value is the label set sent to the first merged child in the
-    winning split (used for witness reconstruction); subproblems on a
-    single original point are implicit — satisfiable iff the part is a
-    single label."""
+    def grow(prefix: Tuple[int, ...], free: int) -> None:
+        out[len(prefix)].append(prefix)
+        sub = free
+        while sub:
+            grow(prefix + (sub,), free ^ sub)
+            sub = (sub - 1) & free
 
-    def __init__(self, n: int, steps: int):
-        self._n = n
-        self._tables: List[Dict[Tuple[Tuple[int, ...], int], FrozenSet[int]]] = [
-            {} for _ in range(steps)
-        ]
-
-    def store(self, step: int, key: Tuple[int, ...], code: int,
-              winner: FrozenSet[int]) -> None:
-        self._tables[step - 1][(key, code)] = winner
-
-    def winner(self, key: Tuple[int, ...], code: int) -> Optional[FrozenSet[int]]:
-        step = key[-1] - self._n  # newest rectangle fixes the home step
-        return self._tables[step - 1].get((key, code))
-
-    def entry_count(self) -> int:
-        return sum(len(t) for t in self._tables)
-
-
-def _distributions(key: Tuple[int, ...], labels: Sequence[int]):
-    """Yield (code, parts) for every distribution of the labels onto the
-    key with all parts nonempty; parts maps rectangle -> frozenset."""
-    m = len(key)
-    base = m + 1
-    need = set(range(1, m + 1))
-    for digits in itertools.product(range(base), repeat=len(labels)):
-        if not need <= set(digits):
-            continue
-        code = 0
-        for d in digits:
-            code = code * base + d
-        parts = {
-            r: frozenset(s for s, d in zip(labels, digits) if d == t + 1)
-            for t, r in enumerate(key)
-        }
-        yield code, parts
+    grow((), full)
+    return out
 
 
 def _components(members: Sequence[int], boxes: Mapping[int, Box]) -> List[Tuple[int, ...]]:
@@ -318,49 +259,41 @@ def _components(members: Sequence[int], boxes: Mapping[int, Box]) -> List[Tuple[
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def _compatible(comps: Sequence[Tuple[int, ...]], parts: Mapping[int, FrozenSet[int]],
-                boxes: Mapping[int, Box], sx: Mapping[int, int],
-                sy: Mapping[int, int]) -> bool:
-    """Pairwise compatibility across components: whenever one rectangle's
-    projection lies fully before another's, every label of the first part
-    must precede every label of the second in the same pattern order."""
-    ext = {}
-    for r in parts:
-        xs = [sx[s] for s in parts[r]]
-        ys = [sy[s] for s in parts[r]]
-        ext[r] = (min(xs), max(xs), min(ys), max(ys))
+def _split_shape(slot: Dict[int, int], boxes: Mapping[int, Box]):
+    """Components of the rectangles in ``slot`` (rectangle -> index into a
+    split's mask tuple) and, for every pair of rectangles in distinct
+    components, which one lies before the other on each axis.  Returns the
+    component count, the slots of original points (a part there must be a
+    single label), the (component, slots) table lookups of the other
+    components, and the x- and y-pairs (a, b) meaning the part in slot a
+    must precede the part in slot b."""
+    comps = _components(sorted(slot), boxes)
+    xpairs: List[Tuple[int, int]] = []
+    ypairs: List[Tuple[int, int]] = []
     for ca, cb in itertools.combinations(comps, 2):
         for u in ca:
             for v in cb:
                 bu, bv = boxes[u], boxes[v]
-                eu, ev = ext[u], ext[v]
                 if bu[1] < bv[0]:
-                    if eu[1] >= ev[0]:
-                        return False
+                    xpairs.append((slot[u], slot[v]))
                 elif bv[1] < bu[0]:
-                    if ev[1] >= eu[0]:
-                        return False
+                    xpairs.append((slot[v], slot[u]))
                 else:  # independent components cannot share an x-span
                     raise AssertionError("components overlap on x")
                 if bu[3] < bv[2]:
-                    if eu[3] >= ev[2]:
-                        return False
+                    ypairs.append((slot[u], slot[v]))
                 elif bv[3] < bu[2]:
-                    if ev[3] >= eu[2]:
-                        return False
+                    ypairs.append((slot[v], slot[u]))
                 else:
                     raise AssertionError("components overlap on y")
-    return True
-
-
-# ---------------------------------------------------------------------------
-# the dynamic program
-# ---------------------------------------------------------------------------
-
-def _require_canonical(pi: Permutation) -> None:
-    n = len(pi)
-    if set(pi.labels) != set(range(1, n + 1)):
-        raise ValidationError("target labels must be 1..n to follow a merge sequence")
+    points: List[int] = []
+    lookups = []
+    for c in comps:
+        if len(c) == 1 and boxes[c[0]][0] == boxes[c[0]][1]:  # an original point
+            points.append(slot[c[0]])
+        else:
+            lookups.append((c, tuple(slot[r] for r in c)))
+    return len(comps), points, lookups, xpairs, ypairs
 
 
 def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
@@ -376,77 +309,97 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     if ell > n:
         return None
     labels = sorted(sigma.labels)
-    sx = {s: sigma.xrank(s) for s in labels}
-    sy = {s: sigma.yrank(s) for s in labels}
     if n == 1:
         emb = {labels[0]: 1}
-        assert verify_embedding(sigma, pi, emb)
+        if not verify_embedding(sigma, pi, emb):
+            raise AssertionError("internal: single-point embedding failed")
         return emb
 
+    xlo, xhi = _extents([sigma.xrank(s) for s in labels])
+    ylo, yhi = _extents([sigma.yrank(s) for s in labels])
+    tuples = _mask_tuples(ell)
     boxes: Dict[int, Box] = {lab: (pt.x, pt.x, pt.y, pt.y) for lab, pt in pi.pairs()}
     graph = VisibilityGraph(pi)
-    table = SubproblemTable(n, len(seq))
+    # (key, masks) -> label mask sent to the first merged child in the
+    # winning split; masks[t] is the part of the t-th rectangle of the key
+    table: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    max_components = 0
 
-    def lookup(comp: Tuple[int, ...], parts: Mapping[int, FrozenSet[int]]) -> bool:
-        if len(comp) == 1 and comp[0] <= n:
-            return len(parts[comp[0]]) == 1
-        return table.winner(comp, _encode_parts(comp, parts, labels)) is not None
+    def satisfied(shape, parts: Tuple[int, ...]) -> bool:
+        _, points, lookups, xpairs, ypairs = shape
+        for a, b in xpairs:
+            if xhi[parts[a]] >= xlo[parts[b]]:
+                return False
+        for a, b in ypairs:
+            if yhi[parts[a]] >= ylo[parts[b]]:
+                return False
+        for t in points:
+            if parts[t] & (parts[t] - 1):
+                return False
+        for comp, slots in lookups:
+            # tuple() of a list, not of a generator: a generator's tuple is
+            # over-allocated and shrunk, which fills CPython's tuple free lists
+            if (comp, tuple([parts[t] for t in slots])) not in table:
+                return False
+        return True
 
-    def evaluate(key: Tuple[int, ...], parts: Dict[int, FrozenSet[int]],
-                 j: int, j1: int, j2: int) -> Optional[FrozenSet[int]]:
-        x_labels = sorted(parts[j])
-        rest = {r: p for r, p in parts.items() if r != j}
-        for mask in range(1 << len(x_labels)):
-            x1 = frozenset(x_labels[t] for t in range(len(x_labels)) if mask >> t & 1)
-            x2 = frozenset(x_labels) - x1
-            split = dict(rest)
-            if x1:
-                split[j1] = x1
-            if x2:
-                split[j2] = x2
-            comps = _components(sorted(split), boxes)
-            if stats is not None and len(comps) > stats.get("max_components", 0):
-                stats["max_components"] = len(comps)
-            if all(lookup(c, split) for c in comps) and \
-                    _compatible(comps, split, boxes, sx, sy):
-                return x1
-        return None
-
-    for p, step in enumerate(seq, start=1):
+    for step in seq:
         j1, j2, j = step
         b1, b2 = boxes[j1], boxes[j2]
         boxes[j] = (min(b1[0], b2[0]), max(b1[1], b2[1]),
                     min(b1[2], b2[2]), max(b1[3], b2[3]))
         visibility_update(graph, step)
         for key in connected_sets(graph, j, ell):
-            for code, parts in _distributions(key, labels):
-                winner = evaluate(key, parts, j, j1, j2)
-                if winner is not None:
-                    table.store(p, key, code, winner)
+            m = len(key)  # key[-1] == j, the newest rectangle
+            slot = {r: t for t, r in enumerate(key[:-1])}
+            # splits send labels to j2 only, to both children, or to j1
+            # only; slot m - 1 holds j1's part and slot m holds j2's
+            shapes = [None, None, None]
+            for masks in tuples[m]:
+                x = masks[-1]
+                head = masks[:-1]
+                x1 = 0
+                while True:  # submasks of x in ascending order
+                    kind = 0 if x1 == 0 else 2 if x1 == x else 1
+                    shape = shapes[kind]
+                    if shape is None:
+                        members = dict(slot)
+                        if kind:
+                            members[j1] = m - 1
+                        if kind < 2:
+                            members[j2] = m
+                        shape = shapes[kind] = _split_shape(members, boxes)
+                        max_components = max(max_components, shape[0])
+                    if satisfied(shape, head + (x1, x ^ x1)):
+                        table[key, masks] = x1
+                        break
+                    if x1 == x:
+                        break
+                    x1 = (x1 - x) & x
 
     if stats is not None:
-        stats["entries"] = table.entry_count()
+        stats["entries"] = len(table)
+        stats["max_components"] = max_components
 
+    full = (1 << ell) - 1
     root = n + len(seq)
-    root_key = (root,)
-    root_parts = {root: frozenset(labels)}
-    if table.winner(root_key, _encode_parts(root_key, root_parts, labels)) is None:
+    if ((root,), (full,)) not in table:
         return None
 
     # re-descend the recorded winning splits to a concrete embedding
     emb: Embedding = {}
-    stack: List[Tuple[Tuple[int, ...], Dict[int, FrozenSet[int]]]] = [(root_key, root_parts)]
+    stack: List[Tuple[Tuple[int, ...], Dict[int, int]]] = [((root,), {root: full})]
     while stack:
         key, parts = stack.pop()
         if len(key) == 1 and key[0] <= n:
-            (s,) = parts[key[0]]
-            emb[s] = key[0]
+            emb[labels[parts[key[0]].bit_length() - 1]] = key[0]
             continue
         k = key[-1]
         j1, j2, _ = seq[k - n - 1]
-        x1 = table.winner(key, _encode_parts(key, parts, labels))
-        assert x1 is not None, "internal: missing table entry during reconstruction"
-        x2 = parts[k] - x1
+        x1 = table.get((key, tuple(parts[r] for r in key)))
+        if x1 is None:
+            raise AssertionError("internal: missing table entry during reconstruction")
+        x2 = parts[k] ^ x1
         split = {r: p for r, p in parts.items() if r != k}
         if x1:
             split[j1] = x1
@@ -454,7 +407,8 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
             split[j2] = x2
         for comp in _components(sorted(split), boxes):
             stack.append((comp, {r: split[r] for r in comp}))
-    assert verify_embedding(sigma, pi, emb), "internal: reconstructed embedding failed"
+    if not verify_embedding(sigma, pi, emb):
+        raise AssertionError("internal: reconstructed embedding failed")
     return emb
 
 
@@ -477,7 +431,8 @@ def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
     by_x = pi.by_x()
     if ell == 1:
         emb = {sigma.labels[0]: by_x[0]}
-        assert verify_embedding(sigma, pi, emb)
+        if not verify_embedding(sigma, pi, emb):
+            raise AssertionError("internal: single-label embedding failed")
         return emb
     sig_by_x = sorted(sigma.labels, key=lambda s: sigma.xrank(s))
     red = reduce(pi.points)  # canonical copy for the merge machinery
@@ -487,11 +442,13 @@ def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
         for i, s in enumerate(sig_by_x, start=1):
             wit = res.grid.witnesses[sigma.yrank(s) - 1][i - 1]
             emb[s] = by_x[wit.x - 1]  # reduced x-coordinate = x-rank in pi
-        assert verify_embedding(sigma, pi, emb)
+        if not verify_embedding(sigma, pi, emb):
+            raise AssertionError("internal: grid embedding failed")
         return emb
     inner = find_pattern(sigma, red, res.seq)
     if inner is None:
         return None
     emb = {s: by_x[t - 1] for s, t in inner.items()}
-    assert verify_embedding(sigma, pi, emb)
+    if not verify_embedding(sigma, pi, emb):
+        raise AssertionError("internal: lifted embedding failed")
     return emb

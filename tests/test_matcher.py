@@ -1,9 +1,18 @@
 """Visibility graphs and the decomposition-driven matcher."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import permpat
+from helpers import random_merge_sequence
 from permpat import (
     ValidationError,
     VisibilityGraph,
@@ -12,7 +21,9 @@ from permpat import (
     canonical_grid,
     connected_sets,
     find_pattern,
+    greedy_monotone_partition,
     match_auto,
+    monotone_decomposition,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
@@ -124,8 +135,74 @@ def test_component_split_instance_exercises_multiway_recombination():
     stats = {}
     emb = find_pattern(sigma, pi, seq, stats=stats)
     assert (emb is None) == (brute_force_match(sigma, pi) is None)
-    assert stats["max_components"] >= 3
-    assert stats["entries"] > 0
+    assert stats["max_components"] == 4
+    assert stats["entries"] == 423
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.integers(1, 4).flatmap(lambda ell: st.permutations(range(1, ell + 1))),
+       st.sampled_from(["random", "builder", "monotone"]),
+       st.randoms(use_true_random=False))
+def test_find_pattern_agrees_with_brute_force_on_any_complete_sequence(
+        target, pattern, source, rng):
+    pi = parse_permutation(" ".join(map(str, target)))
+    sigma = parse_permutation(" ".join(map(str, pattern)))
+    if source == "random":
+        seq = random_merge_sequence(len(pi), rng)
+    elif source == "builder":
+        seq = build_decomposition(pi, 2).seq
+    else:
+        seq = monotone_decomposition(pi, greedy_monotone_partition(pi))
+    got = find_pattern(sigma, pi, seq)
+    assert (got is None) == (brute_force_match(sigma, pi) is None)
+    if got is not None:
+        assert verify_embedding(sigma, pi, got)
+
+
+def test_witness_checks_survive_optimized_mode():
+    # under ``python -O`` a failed witness check must still raise, on the
+    # DP and on each of match_auto's three exits
+    script = textwrap.dedent("""
+        import sys
+        import permpat.matcher as m
+        from permpat import (DecompositionResult, brute_force_grid, build_decomposition,
+                             canonical_grid, find_pattern, match_auto, parse_permutation)
+
+        grid = canonical_grid(2, 2)
+        witness = brute_force_grid(grid, 2)
+        p12, p21 = parse_permutation("1 2"), parse_permutation("2 1")
+        pi = parse_permutation("2 3 1")
+        seq = build_decomposition(pi, 2).seq
+
+        def grid_exit(sigma, target):
+            m.build_decomposition = lambda perm, r: DecompositionResult(None, witness, None)
+            return match_auto(sigma, target)
+
+        # fail only on the targets passed in here: match_auto hands the DP a
+        # reduced copy, whose check passes, so its own final check must raise
+        real = m.verify_embedding
+        m.verify_embedding = lambda sigma, target, emb: (
+            target is not pi and target is not grid and real(sigma, target, emb))
+        print("optimize", sys.flags.optimize)
+        for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
+                           ("single", lambda: match_auto(parse_permutation("1"), pi)),
+                           ("sequence", lambda: match_auto(p12, pi)),
+                           ("grid", lambda: grid_exit(p21, grid))]:
+            try:
+                call()
+                print(name, "returned")
+            except AssertionError:
+                print(name, "raised")
+    """)
+    src = str(pathlib.Path(permpat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [
+        "optimize 1", "find_pattern raised", "single raised", "sequence raised", "grid raised"]
 
 
 def test_match_auto_agrees_with_brute_force_on_random_instances():
