@@ -39,7 +39,7 @@ from .decompose import (
     build_decomposition,
     build_decomposition_budget,
     first_violation,
-    verify_wide,
+    verify_wide,  # unused here; bench/tracing.py wraps permpat.cli.verify_wide by name
     width_of_decomposition,
 )
 from .griddetect import PointSet, f_bound, find_grid, format_point_set, parse_point_set
@@ -81,10 +81,10 @@ def _run_match(algorithm: str, sigma: Permutation, pi: Permutation, args):
     if algorithm == "bruteforce":
         return brute_force_match(sigma, pi)
     if algorithm == "fpt":
-        if args.decomposition is not None:
-            seq = parse_merge_sequence(_read_file(args.decomposition))
-            return find_pattern(sigma, pi, seq)
-        return match_auto(sigma, pi)
+        if args.decomposition is None:
+            raise ValidationError("--algorithm fpt requires --decomposition FILE")
+        seq = parse_merge_sequence(_read_file(args.decomposition))
+        return find_pattern(sigma, pi, seq)
     if algorithm == "monotone":
         if args.partition is None:
             raise ValidationError("--algorithm monotone requires --partition FILE")
@@ -97,8 +97,8 @@ def cmd_match(args) -> int:
     if args.corpus is not None:
         if args.pattern is not None or args.p is not None or args.text is not None or args.t is not None:
             raise ValidationError("--corpus replaces the pattern/text arguments")
-        if args.algorithm == "monotone":
-            raise ValidationError("--corpus does not support --algorithm monotone")
+        if args.algorithm in ("fpt", "monotone"):
+            raise ValidationError("--corpus does not support --algorithm %s" % args.algorithm)
         for lineno, raw in enumerate(_read_file(args.corpus).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -130,12 +130,13 @@ def cmd_match(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _print_sequence(pi: Permutation, seq: MergeSequence, budget: int, check: bool) -> None:
-    if check and not verify_wide(pi, seq, budget):
+    width = width_of_decomposition(pi, seq)
+    if check and width > budget:
         raise ValidationError("internal: emitted sequence is not %d-wide" % budget)
     out = format_merge_sequence(seq)
     if out:
         print(out)
-    print("# width %d budget %d" % (width_of_decomposition(pi, seq), budget))
+    print("# width %d budget %d" % (width, budget))
 
 
 def cmd_decompose(args) -> int:
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--algorithm", choices=["auto", "bruteforce", "fpt", "monotone", "polyspace"],
                    default="auto")
     m.add_argument("--decomposition", metavar="FILE",
-                   help="merge sequence for --algorithm fpt (otherwise built internally)")
+                   help="merge sequence of the target, required by --algorithm fpt")
     m.add_argument("--partition", metavar="FILE",
                    help="monotone partition of the target for --algorithm monotone")
     m.add_argument("--witness", action="store_true", help="print an embedding when found")

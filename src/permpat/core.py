@@ -7,16 +7,16 @@ points onto the grid [n] x [n] while preserving both coordinate orders.
 Everything downstream (width, decompositions, pattern matching) only ever
 looks at the two coordinate orders, so reduction is the canonical form.
 
-Also provided: axis-aligned rectangles and families thereof, merge
-sequences (the protocol objects of the width machinery), grid witnesses,
-and parsers/formatters for the one-line text interchange formats.
+Also provided: merge sequences (the protocol objects of the width
+machinery), grid witnesses, and parsers/formatters for the one-line text
+interchange formats.
 """
 
 from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 
 class ParseError(ValueError):
@@ -34,51 +34,6 @@ class SizeCapError(ValueError):
 class Point(NamedTuple):
     x: int
     y: int
-
-
-class Interval(NamedTuple):
-    """Closed integer interval [lo, hi]."""
-
-    lo: int
-    hi: int
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_left_of(self, other: "Interval") -> bool:
-        return self.hi < other.lo
-
-    def union(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-
-class Rectangle(NamedTuple):
-    """Axis-aligned box given by its x- and y-intervals."""
-
-    ix: Interval
-    iy: Interval
-
-    @staticmethod
-    def from_point(p: Point) -> "Rectangle":
-        return Rectangle(Interval(p.x, p.x), Interval(p.y, p.y))
-
-    def interval(self, alpha: int) -> Interval:
-        # alpha = 1 is the x-axis, alpha = 2 the y-axis.
-        if alpha == 1:
-            return self.ix
-        if alpha == 2:
-            return self.iy
-        raise ValueError("axis must be 1 or 2, got %r" % (alpha,))
-
-    def bounding(self, other: "Rectangle") -> "Rectangle":
-        return Rectangle(self.ix.union(other.ix), self.iy.union(other.iy))
-
-    def views(self, other: "Rectangle", alpha: int) -> bool:
-        """True if the alpha-projections of the two boxes intersect."""
-        return self.interval(alpha).intersects(other.interval(alpha))
 
 
 class Permutation:
@@ -249,44 +204,6 @@ class GridWitness:
         return len(self.col_cuts) + 1
 
 
-class RectangleFamily:
-    """Indexed family of rectangles; merge steps rewrite it in place-like
-    fashion via :func:`merge_family` (which returns a new family)."""
-
-    __slots__ = ("_rects",)
-
-    def __init__(self, rects: Mapping[int, Rectangle]):
-        self._rects = dict(rects)
-
-    @classmethod
-    def of(cls, perm: Permutation) -> "RectangleFamily":
-        """Degenerate family: one point-rectangle per label."""
-        return cls({l: Rectangle.from_point(p) for l, p in perm.pairs()})
-
-    def indices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._rects))
-
-    def rect(self, idx: int) -> Rectangle:
-        try:
-            return self._rects[idx]
-        except KeyError:
-            raise ValidationError("index %r not in family" % (idx,)) from None
-
-    def __len__(self) -> int:
-        return len(self._rects)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self._rects
-
-    def items(self) -> Tuple[Tuple[int, Rectangle], ...]:
-        return tuple(sorted(self._rects.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RectangleFamily):
-            return NotImplemented
-        return self._rects == other._rects
-
-
 Embedding = Dict[int, int]  # pattern label -> target label
 
 
@@ -319,11 +236,6 @@ def parse_permutation(text: str) -> Permutation:
             raise ParseError("bad token %r: duplicate value" % (tok,))
         seen.add(v)
     return Permutation({i + 1: Point(i + 1, v) for i, v in enumerate(values)})
-
-
-def format_permutation(perm: Permutation) -> str:
-    """One-line notation of the reduced form."""
-    return perm.one_line()
 
 
 def parse_merge_sequence(text: str) -> MergeSequence:
@@ -436,11 +348,6 @@ def restrict(perm: Permutation, labels: Iterable[int]) -> Permutation:
     return Permutation({l: perm.point(l) for l in subset})
 
 
-def pattern_equal(a: Permutation, b: Permutation) -> bool:
-    """True if the two point sets induce the same pair of orders."""
-    return a.pattern() == b.pattern()
-
-
 def verify_embedding(pattern: Permutation, target: Permutation, emb: Mapping[int, int]) -> bool:
     """Check that emb maps the pattern's points to target points preserving
     both coordinate orders (injectively).  Non-total maps or images outside
@@ -484,13 +391,6 @@ def canonical_grid(r: int, s: int) -> Permutation:
             y = (i - 1) * r + j
             placement[x] = Point(x, y)
     return Permutation(placement)
-
-
-def grid_label(r: int, s: int, i: int, j: int) -> int:
-    """Label of the canonical-grid point in row i, column j."""
-    if not (1 <= i <= s and 1 <= j <= r):
-        raise ValidationError("grid cell (%d,%d) outside %d x %d" % (i, j, r, s))
-    return (j - 1) * s + (s - i + 1)
 
 
 def substitute(outer: Permutation, x: int, inner: Permutation) -> Permutation:
@@ -566,24 +466,6 @@ def random_separable(n: int, seed: int) -> Permutation:
 # merge machinery
 # ---------------------------------------------------------------------------
 
-def merge_family(family: RectangleFamily, i: int, j: int, k: int) -> RectangleFamily:
-    """Apply one merge step: remove rectangles i and j, add their bounding
-    box under the fresh index k."""
-    if i not in family:
-        raise ValidationError("merge source %d not in family" % i)
-    if j not in family:
-        raise ValidationError("merge source %d not in family" % j)
-    if i == j:
-        raise ValidationError("merge sources must be distinct, got %d twice" % i)
-    if k in family:
-        raise ValidationError("merge target %d already in family" % k)
-    rects = dict(family.items())
-    ri = rects.pop(i)
-    rj = rects.pop(j)
-    rects[k] = ri.bounding(rj)
-    return RectangleFamily(rects)
-
-
 def validate_merge_sequence(seq: MergeSequence, n: int, *, require_complete: bool = False) -> None:
     """Structural validation over an n-point ground set: step p must create
     index n + p from two distinct live indices.  Raises ValidationError
@@ -610,26 +492,6 @@ def validate_merge_sequence(seq: MergeSequence, n: int, *, require_complete: boo
         raise ValidationError(
             "sequence has %d steps but a full decomposition of %d points needs %d"
             % (len(seq), n, max(n - 1, 0)))
-
-
-def leaf_sets(seq: MergeSequence, n: int) -> Dict[int, Set[int]]:
-    """Original labels below each index of the merge forest: L(p) = {p} for
-    originals 1..n, L(k) = L(i) | L(j) for each step (i, j, k).  Accepts
-    partial sequences (prefixes of a full decomposition)."""
-    validate_merge_sequence(seq, n)
-    out: Dict[int, Set[int]] = {p: {p} for p in range(1, n + 1)}
-    for i, j, k in seq:
-        out[k] = out[i] | out[j]
-    return out
-
-
-def apply_merge_sequence(perm: Permutation, seq: MergeSequence) -> RectangleFamily:
-    """Family after replaying all steps on the degenerate family of perm."""
-    validate_merge_sequence(seq, len(perm))
-    fam = RectangleFamily.of(perm)
-    for i, j, k in seq:
-        fam = merge_family(fam, i, j, k)
-    return fam
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,6 @@ def _replay_views(perm: Permutation, seq: MergeSequence) -> Iterator[Tuple[int, 
         yield p, v1, v2
 
 
-def replay_view_counts(perm: Permutation, seq: MergeSequence) -> List[int]:
-    """Per-step view count max(x-views, y-views) of each new rectangle."""
-    return [v1 if v1 >= v2 else v2 for _, v1, v2 in _replay_views(perm, seq)]
-
-
 def width_of_decomposition(perm: Permutation, seq: MergeSequence) -> int:
     """Exact width of a merge sequence: one more than the largest view
     count over all created rectangles (1 for empty/singleton input)."""
@@ -148,12 +143,7 @@ def verify_wide(perm: Permutation, seq: MergeSequence, d: int) -> bool:
     """True iff every rectangle the sequence creates has fewer than d
     same-axis viewers among the rectangles alive with it (the starting
     point-rectangles always qualify for d >= 1)."""
-    if d < 1:
-        return False
-    for _, v1, v2 in _replay_views(perm, seq):
-        if v1 >= d or v2 >= d:
-            return False
-    return True
+    return d >= 1 and first_violation(perm, seq, d) is None
 
 
 def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[Tuple[int, int]]:
@@ -423,7 +413,8 @@ def build_decomposition(perm: Permutation, r: int,
     w = GridWitness([col_cuts[c - 1] for c in sub.col_cuts],
                     [row_cuts[c - 1] for c in sub.row_cuts],
                     [[reps[sub.witnesses[j][i]] for i in range(r)] for j in range(r)])
-    assert verify_grid(perm, w, r), "lifted dense-branch witness failed verification"
+    if not verify_grid(perm, w, r):
+        raise AssertionError("internal: lifted dense-branch witness failed verification")
     return DecompositionResult(seq=None, grid=w, width_bound=None)
 
 

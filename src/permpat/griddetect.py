@@ -164,7 +164,8 @@ def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
         row_cuts = [(ys[j] - 1) * side for j in range(1, r)]
         witnesses = [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)] for j in range(r)]
         w = GridWitness(col_cuts, row_cuts, witnesses)
-        assert verify_grid(M, w, r), "wide-block witness failed verification"
+        if not verify_grid(M, w, r):
+            raise AssertionError("internal: wide-block witness failed verification")
         return w
 
     # no detection: every block column holds fewer than r blocks per shared
@@ -202,7 +203,8 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
         w = GridWitness(res_t.row_cuts, res_t.col_cuts,
                         [[Point(res_t.witnesses[i][j].y, res_t.witnesses[i][j].x)
                           for i in range(res_t.r)] for j in range(res_t.r)])
-        assert verify_grid(M, w, r), "transposed witness failed verification"
+        if not verify_grid(M, w, r):
+            raise AssertionError("internal: transposed witness failed verification")
         return w
     res = find_grid_or_reduce(M, r)
     if isinstance(res, GridWitness):
@@ -228,5 +230,6 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
     w = GridWitness([c * side for c in sub.col_cuts],
                     [c * side for c in sub.row_cuts],
                     [[blk_min[sub.witnesses[j][i]] for i in range(r)] for j in range(r)])
-    assert verify_grid(M, w, r), "lifted witness failed verification"
+    if not verify_grid(M, w, r):
+        raise AssertionError("internal: lifted witness failed verification")
     return w

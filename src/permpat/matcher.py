@@ -45,7 +45,7 @@ from .core import (
     validate_merge_sequence,
     verify_embedding,
 )
-from .decompose import build_decomposition
+from .decompose import _require_original_labels, build_decomposition
 
 Box = Tuple[int, int, int, int]  # x1, x2, y1, y2
 
@@ -58,6 +58,10 @@ class VisibilityGraph:
     """Live rectangles, with an edge whenever two of them view each other
     along some axis (their x- or y-projections intersect).
 
+    ``boxes`` maps every rectangle the graph has seen, merged ones
+    included, to its (x1, x2, y1, y2) box; a rectangle is live while it
+    has an adjacency entry.
+
     Per axis, the occupied coordinates are kept in a sorted doubly linked
     list recording which rectangle owns a left/right endpoint there, so
     the neighbours of a freshly merged rectangle are found by scanning
@@ -66,16 +70,16 @@ class VisibilityGraph:
     one of the two merged rectangles.
     """
 
-    __slots__ = ("_box", "_adj", "_owner", "_nxt", "_prv")
+    __slots__ = ("boxes", "_adj", "_owner", "_nxt", "_prv")
 
     def __init__(self, perm: Permutation):
-        self._box: Dict[int, Box] = {}
+        self.boxes: Dict[int, Box] = {}
         self._adj: Tuple[Dict[int, Set[int]], Dict[int, Set[int]]] = ({}, {})
         self._owner: Tuple[Dict[int, List[int]], Dict[int, List[int]]] = ({}, {})
         self._nxt: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         self._prv: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         for label, pt in perm.pairs():
-            self._box[label] = (pt.x, pt.x, pt.y, pt.y)
+            self.boxes[label] = (pt.x, pt.x, pt.y, pt.y)
             self._adj[0][label] = set()
             self._adj[1][label] = set()
         for axis in (0, 1):
@@ -93,17 +97,17 @@ class VisibilityGraph:
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._box)
+        return len(self._adj[0])
 
     def __contains__(self, v: int) -> bool:
-        return v in self._box
+        return v in self._adj[0]
 
     def neighbor_set(self, v: int) -> Set[int]:
         return self._adj[0][v] | self._adj[1][v]
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted list of rectangles viewing v along some axis."""
-        if v not in self._box:
+        if v not in self:
             raise ValidationError("vertex %d is not live" % v)
         return sorted(self.neighbor_set(v))
 
@@ -122,13 +126,13 @@ class VisibilityGraph:
 
     def merge(self, step: MergeStep) -> None:
         i, j, k = step
-        if i not in self._box or j not in self._box:
+        if i not in self or j not in self:
             raise ValidationError("merge step (%d,%d,%d) uses a dead or unknown rectangle" % (i, j, k))
-        if i == j or k in self._box:
+        if i == j or k in self.boxes:
             raise ValidationError("merge step (%d,%d,%d) is not applicable" % (i, j, k))
-        bi, bj = self._box[i], self._box[j]
+        bi, bj = self.boxes[i], self.boxes[j]
         box = (min(bi[0], bj[0]), max(bi[1], bj[1]), min(bi[2], bj[2]), max(bi[3], bj[3]))
-        self._box[k] = box
+        self.boxes[k] = box
         for axis in (0, 1):
             lo, hi = box[2 * axis], box[2 * axis + 1]
             owner = self._owner[axis]
@@ -161,13 +165,6 @@ class VisibilityGraph:
             adj[k] = seen
             for v in seen:
                 adj[v].add(k)
-        del self._box[i], self._box[j]
-
-
-def visibility_update(state: VisibilityGraph, step: MergeStep) -> VisibilityGraph:
-    """Apply one merge step to the graph in place and return it."""
-    state.merge(MergeStep(*step))
-    return state
 
 
 def connected_sets(graph: VisibilityGraph, v: int, l: int) -> List[Tuple[int, ...]]:
@@ -200,12 +197,6 @@ def connected_sets(graph: VisibilityGraph, v: int, l: int) -> List[Tuple[int, ..
 # ---------------------------------------------------------------------------
 # the dynamic program
 # ---------------------------------------------------------------------------
-
-def _require_canonical(pi: Permutation) -> None:
-    n = len(pi)
-    if set(pi.labels) != set(range(1, n + 1)):
-        raise ValidationError("target labels must be 1..n to follow a merge sequence")
-
 
 def _extents(ranks: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Per label mask (bit t = the t-th smallest label): the least and the
@@ -304,7 +295,7 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     n = len(pi)
     if ell < 1:
         raise ValidationError("pattern must be nonempty")
-    _require_canonical(pi)
+    _require_original_labels(pi)
     validate_merge_sequence(seq, n, require_complete=True)
     if ell > n:
         return None
@@ -318,8 +309,8 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     xlo, xhi = _extents([sigma.xrank(s) for s in labels])
     ylo, yhi = _extents([sigma.yrank(s) for s in labels])
     tuples = _mask_tuples(ell)
-    boxes: Dict[int, Box] = {lab: (pt.x, pt.x, pt.y, pt.y) for lab, pt in pi.pairs()}
     graph = VisibilityGraph(pi)
+    boxes = graph.boxes
     # (key, masks) -> label mask sent to the first merged child in the
     # winning split; masks[t] is the part of the t-th rectangle of the key
     table: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
@@ -345,10 +336,7 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
 
     for step in seq:
         j1, j2, j = step
-        b1, b2 = boxes[j1], boxes[j2]
-        boxes[j] = (min(b1[0], b2[0]), max(b1[1], b2[1]),
-                    min(b1[2], b2[2]), max(b1[3], b2[3]))
-        visibility_update(graph, step)
+        graph.merge(step)
         for key in connected_sets(graph, j, ell):
             m = len(key)  # key[-1] == j, the newest rectangle
             slot = {r: t for t, r in enumerate(key[:-1])}

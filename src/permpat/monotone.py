@@ -489,7 +489,8 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
             else:
                 break
         emb[s] = members[p - 1]
-    assert verify_embedding(sigma, pi, emb), "internal: 2SAT solution failed verification"
+    if not verify_embedding(sigma, pi, emb):
+        raise AssertionError("internal: 2SAT solution failed verification")
     return emb
 
 

@@ -86,9 +86,6 @@ def brute_force_match(pattern: Permutation, target: Permutation) -> Optional[Emb
 # exact width
 # ---------------------------------------------------------------------------
 
-_width_cache: Dict[Tuple[int, ...], int] = {}
-
-
 def _view_counts(box: int, others: Sequence[int]) -> Tuple[int, int]:
     bx1 = box >> 12
     bx2 = (box >> 8) & 15
@@ -119,9 +116,6 @@ def exact_width(perm: Permutation) -> int:
     if n <= 1:
         return 1
     word = perm.pattern()
-    hit = _width_cache.get(word)
-    if hit is not None:
-        return hit
 
     # Pack each box into 16 bits: x1 x2 y1 y2, one nibble each (coords <= 9).
     start = tuple(sorted((x << 12) | (x << 8) | (y << 4) | y
@@ -157,9 +151,7 @@ def exact_width(perm: Permutation) -> int:
         memo[state] = res
         return res
 
-    out = best(start)
-    _width_cache[word] = out
-    return out
+    return best(start)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_match_algorithms_agree_on_exit_codes(capsys):
     cases = [("2 1 3", "5 3 1 2 4"), ("3 1 2", "1 2 3"), ("1 2", "2 1")]
     for pat, text in cases:
         codes = set()
-        for algo in ("auto", "bruteforce", "fpt", "polyspace"):
+        for algo in ("auto", "bruteforce", "polyspace"):
             code, _, _ = run(capsys, "match", "-p", pat, "-t", text, "--algorithm", algo)
             codes.add(code)
         assert len(codes) == 1
@@ -82,6 +82,16 @@ def test_match_monotone_requires_partition(capsys, tmp_path):
     assert (code, out.strip()) == (0, "FOUND")
 
 
+def test_match_fpt_requires_decomposition(capsys, tmp_path):
+    code, out, err = run(capsys, "match", "-p", "2 1", "-t", "2 1", "--algorithm", "fpt")
+    assert code == 2 and out == "" and "--decomposition" in err
+    fn = tmp_path / "corpus.txt"
+    fn.write_text("1 2 ; 1 2\n")
+    for algo in ("fpt", "monotone"):
+        code, out, err = run(capsys, "match", "--corpus", str(fn), "--algorithm", algo)
+        assert code == 2 and out == "" and algo in err
+
+
 def test_match_corpus_batch(capsys, tmp_path):
     fn = tmp_path / "corpus.txt"
     fn.write_text("# pairs\n1 3 2 ; 3 2 1 5 6 7 4\n4 3 2 1 ; 3 2 1 5 6 7 4\n1 2 ; 1 2\n")
@@ -95,7 +105,7 @@ def test_match_corpus_batch(capsys, tmp_path):
 def test_match_bundled_corpus_algorithms_agree(capsys):
     corpus = str(pathlib.Path(__file__).parent / "data" / "corpus.txt")
     outputs = {}
-    for algo in ("auto", "bruteforce", "fpt", "polyspace"):
+    for algo in ("auto", "bruteforce", "polyspace"):
         code, out, _ = run(capsys, "match", "--corpus", corpus, "--algorithm", algo)
         assert code == 0
         outputs[algo] = out

@@ -18,7 +18,6 @@ from permpat import (
     parse_permutation,
     random_permutation,
     random_separable,
-    replay_view_counts,
     validate_merge_sequence,
     verify_wide,
     width_of_decomposition,
@@ -45,8 +44,6 @@ def test_width_replay_frozen_example():
     assert not verify_wide(perm, seq, 1)
     assert first_violation(perm, seq, 2) is None
     assert first_violation(perm, seq, 1) == (1, 1)
-    counts = replay_view_counts(perm, seq)
-    assert len(counts) == 3 and max(counts) == 1
 
 
 def test_width_convention_for_tiny_inputs():

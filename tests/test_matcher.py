@@ -30,7 +30,6 @@ from permpat import (
     random_separable,
     restrict,
     verify_embedding,
-    visibility_update,
     width_of_decomposition,
 )
 
@@ -44,24 +43,33 @@ def test_initial_graph_is_edgeless():
 
 def test_merge_of_a_pair_leaves_one_isolated_vertex():
     g = VisibilityGraph(parse_permutation("1 2"))
-    visibility_update(g, (1, 2, 3))
+    g.merge((1, 2, 3))
     assert len(g) == 1 and 3 in g and g.neighbors(3) == []
+
+
+def test_graph_keeps_the_boxes_of_merged_rectangles():
+    g = VisibilityGraph(parse_permutation("3 1 4 2"))
+    for step in parse_merge_sequence("2 1 5\n4 3 6\n5 6 7"):
+        g.merge(step)
+    assert len(g) == 1 and 7 in g and 5 not in g and 1 not in g
+    assert g.boxes[5] == (1, 2, 1, 3) and g.boxes[6] == (3, 4, 2, 4)
+    assert g.boxes[7] == (1, 4, 1, 4) and g.boxes[1] == (1, 1, 3, 3)
 
 
 def test_viewing_is_interval_overlap():
     g = VisibilityGraph(parse_permutation("2 1 4 3"))
-    visibility_update(g, (1, 2, 5))  # box spans x 1..2, y 1..2
-    visibility_update(g, (3, 4, 6))  # box spans x 3..4, y 3..4
+    g.merge((1, 2, 5))  # box spans x 1..2, y 1..2
+    g.merge((3, 4, 6))  # box spans x 3..4, y 3..4
     # disjoint on both axes: no view either way
     assert g.neighbors(5) == [] and g.neighbors(6) == []
     g2 = VisibilityGraph(parse_permutation("2 1 3"))
-    visibility_update(g2, (1, 3, 4))  # spans y 2..3, x 1..3 swallowing x of 2
+    g2.merge((1, 3, 4))  # spans y 2..3, x 1..3 swallowing x of 2
     assert g2.neighbors(4) == [2] and g2.neighbors(2) == [4]
 
 
 def test_neighbors_of_dead_rectangle_error():
     g = VisibilityGraph(parse_permutation("1 2"))
-    visibility_update(g, (1, 2, 3))
+    g.merge((1, 2, 3))
     with pytest.raises(ValidationError):
         g.neighbors(1)
 
@@ -69,7 +77,7 @@ def test_neighbors_of_dead_rectangle_error():
 def test_connected_sets_on_a_path():
     # path 1 - 5 - 4: all connected sets through the center, smallest first
     g = VisibilityGraph(parse_permutation("2 1 4 3"))
-    visibility_update(g, (2, 3, 5))
+    g.merge((2, 3, 5))
     assert g.neighbors(5) == [1, 4] and g.neighbors(1) == [5]
     assert connected_sets(g, 5, 2) == [(5,), (1, 5), (4, 5)]
     assert connected_sets(g, 5, 3) == [(5,), (1, 5), (4, 5), (1, 4, 5)]
@@ -81,7 +89,7 @@ def test_connected_sets_enumerates_each_set_once():
     g = VisibilityGraph(perm)
     seen_total = 0
     for step in res.seq:
-        visibility_update(g, tuple(step))
+        g.merge(step)
         sets = connected_sets(g, step.k, 3)
         assert len(sets) == len(set(sets))
         assert all(step.k in s for s in sets)
@@ -96,7 +104,7 @@ def test_live_degrees_stay_bounded_during_replay():
     w = width_of_decomposition(perm, res.seq)
     g = VisibilityGraph(perm)
     for step in res.seq:
-        visibility_update(g, tuple(step))
+        g.merge(step)
         assert g.degree(step.k) <= 2 * (w - 1)
 
 
@@ -162,12 +170,16 @@ def test_find_pattern_agrees_with_brute_force_on_any_complete_sequence(
 
 def test_witness_checks_survive_optimized_mode():
     # under ``python -O`` a failed witness check must still raise, on the
-    # DP and on each of match_auto's three exits
+    # DP, on each of match_auto's three exits, on the 2SAT track and in
+    # the grid finder
     script = textwrap.dedent("""
         import sys
+        import permpat.griddetect as gd
         import permpat.matcher as m
-        from permpat import (DecompositionResult, brute_force_grid, build_decomposition,
-                             canonical_grid, find_pattern, match_auto, parse_permutation)
+        import permpat.monotone as mono
+        from permpat import (DecompositionResult, PointSet, brute_force_grid,
+                             build_decomposition, canonical_grid, find_grid, find_pattern,
+                             match_auto, parse_permutation, poly_space_match)
 
         grid = canonical_grid(2, 2)
         witness = brute_force_grid(grid, 2)
@@ -184,11 +196,23 @@ def test_witness_checks_survive_optimized_mode():
         real = m.verify_embedding
         m.verify_embedding = lambda sigma, target, emb: (
             target is not pi and target is not grid and real(sigma, target, emb))
+        mono.verify_embedding = lambda sigma, target, emb: False
+        # dense enough for find_grid at r = 2: 40200 > f(2) * (200 + 201 - 2).
+        # Its wide-block check sees the transpose (p = 201), and the check of
+        # the transposed witness sees the set itself (p = 200)
+        tall = PointSet(200, 201, [(x, y) for x in range(1, 201) for y in range(1, 202)])
+
+        def grid_check(failing):
+            gd.verify_grid = lambda target, w, r: target.p not in failing
+            return find_grid(tall, 2)
         print("optimize", sys.flags.optimize)
         for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
                            ("single", lambda: match_auto(parse_permutation("1"), pi)),
                            ("sequence", lambda: match_auto(p12, pi)),
-                           ("grid", lambda: grid_exit(p21, grid))]:
+                           ("grid", lambda: grid_exit(p21, grid)),
+                           ("poly_space_match", lambda: poly_space_match(p12, pi)),
+                           ("find_grid", lambda: grid_check({200, 201})),
+                           ("find_grid transposed", lambda: grid_check({200}))]:
             try:
                 call()
                 print(name, "returned")
@@ -202,7 +226,8 @@ def test_witness_checks_survive_optimized_mode():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
-        "optimize 1", "find_pattern raised", "single raised", "sequence raised", "grid raised"]
+        "optimize 1", "find_pattern raised", "single raised", "sequence raised", "grid raised",
+        "poly_space_match raised", "find_grid raised", "find_grid transposed raised"]
 
 
 def test_match_auto_agrees_with_brute_force_on_random_instances():
