@@ -53,7 +53,8 @@ class Permutation:
         for label, p in placement.items():
             if not isinstance(label, int) or label < 1:
                 raise ValidationError("labels must be positive integers, got %r" % (label,))
-            p = Point(int(p[0]), int(p[1]))
+            if type(p) is not Point or type(p.x) is not int or type(p.y) is not int:
+                p = Point(int(p[0]), int(p[1]))
             if p.x < 1 or p.y < 1:
                 raise ValidationError("coordinates must be positive, got %r for label %d" % (p, label))
             if p.x in xs:
@@ -160,6 +161,13 @@ class MergeSequence:
     def __init__(self, steps: Iterable[Sequence[int]]):
         norm = tuple(MergeStep(int(a), int(b), int(c)) for (a, b, c) in steps)
         object.__setattr__(self, "steps", norm)
+
+    @classmethod
+    def _of_steps(cls, steps: Iterable[MergeStep]) -> "MergeSequence":
+        """Wrap MergeSteps of ints, such as the builder's, without rebuilding each."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "steps", tuple(steps))
+        return seq
 
     def __len__(self) -> int:
         return len(self.steps)

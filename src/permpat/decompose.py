@@ -9,15 +9,19 @@ axis — or every cell holds exactly one rectangle while at least two
 remain, in which case the cell occupancy pattern is dense enough for the
 grid finder and the permutation contains the canonical r x r grid pattern.
 
-``verify_wide`` / ``width_of_decomposition`` replay a sequence with four
-Fenwick trees (one per interval endpoint per axis), so checking a claimed
-width costs O(n log n) regardless of how wide the rectangles get.
+``verify_wide`` / ``width_of_decomposition`` replay a sequence with two
+Fenwick trees per axis, counting the live rectangles' low and high
+endpoints.  A merged rectangle keeps one child's endpoint on each side, so
+a merge removes one endpoint from each tree and adds none, and its view
+count is two prefix sums.  Checking a claimed width costs O(n log n)
+regardless of how wide the rectangles get.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from .core import (
     GridWitness,
@@ -62,70 +66,62 @@ def _require_original_labels(perm: Permutation) -> None:
 # replay verification
 # ---------------------------------------------------------------------------
 
+def _axis_views(rank: List[int], seq: MergeSequence) -> List[int]:
+    """Per step, how many other live rectangles the new one overlaps on one
+    axis; ``rank[l]`` is label l's rank (1..n) on that axis."""
+    n = len(rank) - 1
+    lo = rank + [0] * len(seq)  # rectangle index -> low and high endpoint
+    hi = lo[:]
+    # Fenwick trees over rank space counting the live rectangles' low and
+    # high endpoints.  t[i] covers a block of i & -i positions; every rank
+    # starts occupied once, so t[i] = i & -i.
+    lot = [0] + [i & -i for i in range(1, n + 1)]
+    hit = lot[:]
+    out = []
+    for i, j, k in seq:
+        # k keeps the lower low and the higher high endpoint of its
+        # children, so only the other child's endpoint leaves each tree
+        a, b = lo[i], lo[j]
+        if a > b:
+            a, b = b, a
+        lo[k] = left = a
+        while b <= n:
+            lot[b] -= 1
+            b += b & -b
+        a, b = hi[i], hi[j]
+        if a < b:
+            a, b = b, a
+        hi[k] = right = a
+        while b <= n:
+            hit[b] -= 1
+            b += b & -b
+        # viewers: low end <= k's high end, minus those ending before k's
+        # low end, minus k itself
+        v = -1
+        while right:
+            v += lot[right]
+            right &= right - 1
+        left -= 1
+        while left:
+            v -= hit[left]
+            left &= left - 1
+        out.append(v)
+    return out
+
+
 def _replay_views(perm: Permutation, seq: MergeSequence) -> Iterator[Tuple[int, int, int]]:
     """Yield (step number, x-views, y-views) of each newly created
     rectangle, counted against the rectangles alive alongside it."""
     n = len(perm)
     _require_original_labels(perm)
     validate_merge_sequence(seq, n)
-    if n == 0:
-        return
-
     # rank coordinates; intersection tests only care about relative order
     xr = [0] * (n + 1)
     yr = [0] * (n + 1)
-    for l in perm.labels:
-        xr[l] = perm.xrank(l)
-        yr[l] = perm.yrank(l)
-
-    top = n + len(seq)
-    bx1 = [0] * (top + 1)
-    bx2 = [0] * (top + 1)
-    by1 = [0] * (top + 1)
-    by2 = [0] * (top + 1)
-    for l in range(1, n + 1):
-        bx1[l] = bx2[l] = xr[l]
-        by1[l] = by2[l] = yr[l]
-
-    # four Fenwick trees over rank space: one per endpoint per axis.
-    # t[i] covers a block of i & -i positions; building from the all-ones
-    # multiset (every rank occupied once) gives t[i] = i & -i directly.
-    hix = [0] + [i & -i for i in range(1, n + 1)]
-    lox = hix[:]
-    hiy = hix[:]
-    loy = hix[:]
-
-    def add(tree: List[int], i: int, v: int) -> None:
-        while i <= n:
-            tree[i] += v
-            i += i & -i
-
-    def pref(tree: List[int], i: int) -> int:
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
-
-    live = n
-    for p, (i, j, k) in enumerate(seq, 1):
-        add(hix, bx2[i], -1); add(lox, bx1[i], -1)
-        add(hiy, by2[i], -1); add(loy, by1[i], -1)
-        add(hix, bx2[j], -1); add(lox, bx1[j], -1)
-        add(hiy, by2[j], -1); add(loy, by1[j], -1)
-        nx1 = bx1[i] if bx1[i] < bx1[j] else bx1[j]
-        nx2 = bx2[i] if bx2[i] > bx2[j] else bx2[j]
-        ny1 = by1[i] if by1[i] < by1[j] else by1[j]
-        ny2 = by2[i] if by2[i] > by2[j] else by2[j]
-        bx1[k] = nx1; bx2[k] = nx2; by1[k] = ny1; by2[k] = ny2
-        others = live - 2
-        # rectangles NOT x-viewing k either end left of k or start right of k
-        v1 = others - pref(hix, nx1 - 1) - (others - pref(lox, nx2))
-        v2 = others - pref(hiy, ny1 - 1) - (others - pref(loy, ny2))
-        add(hix, nx2, 1); add(lox, nx1, 1)
-        add(hiy, ny2, 1); add(loy, ny1, 1)
-        live -= 1
-        yield p, v1, v2
+    for pos, (label, y) in enumerate(zip(perm.by_x(), perm.pattern()), 1):
+        xr[label] = pos
+        yr[label] = y
+    yield from zip(range(1, len(seq) + 1), _axis_views(xr, seq), _axis_views(yr, seq))
 
 
 def width_of_decomposition(perm: Permutation, seq: MergeSequence) -> int:
@@ -161,12 +157,13 @@ def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[T
 # ---------------------------------------------------------------------------
 
 class _Cell:
-    __slots__ = ("col", "row", "rects")
+    __slots__ = ("col", "row", "rects", "stamp")
 
     def __init__(self, col: "_Line", row: "_Line"):
         self.col = col
         self.row = row
         self.rects: List[int] = []
+        self.stamp = 0  # of the cell's live entry in _State.large; 0: none
 
 
 class _Line:
@@ -186,7 +183,7 @@ class _Line:
 
 class _State:
     __slots__ = ("n", "d", "total", "cols_head", "rows_head", "large",
-                 "rep", "steps", "validate", "boxes")
+                 "stamps", "rep", "steps", "validate", "boxes")
 
     def __init__(self, n: int, d: int, validate: bool):
         self.n = n
@@ -194,7 +191,11 @@ class _State:
         self.total = n
         self.cols_head: Optional[_Line] = None
         self.rows_head: Optional[_Line] = None
-        self.large: Dict[_Cell, None] = {}
+        # cells holding two or more rectangles, as (stamp, cell) in the
+        # order they became large; an entry whose stamp is not its cell's
+        # current one is stale and skipped when it reaches the front
+        self.large: Deque[Tuple[int, _Cell]] = deque()
+        self.stamps = 0
         self.rep: List[int] = list(range(n + 1))  # min original label per index
         self.steps: List[MergeStep] = []
         self.validate = validate
@@ -225,11 +226,21 @@ def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
     state.cols_head = cols[0]
     state.rows_head = rows[0]
 
+    # line c holds the points of ranks c*d+1 .. (c+1)*d on its axis
     by_x = perm.by_x()
+    word = perm.pattern()
+    pts = perm.points  # in label order, and the labels are 1..n
+    xs = [pts[label - 1].x for label in by_x]
+    ys = sorted(pt.y for pt in pts)
+    for lines, coords in ((cols, xs), (rows, ys)):
+        for c, line in enumerate(lines):
+            end = min(c * d + d, n)
+            line.size = end - c * d
+            line.lo = coords[c * d]
+            line.hi = coords[end - 1]
     for pos, label in enumerate(by_x):
-        pt = perm.point(label)
         col = cols[pos // d]
-        row = rows[(perm.yrank(label) - 1) // d]
+        row = rows[(word[pos] - 1) // d]
         cell = col.cells.get(row)
         if cell is None:
             cell = _Cell(col, row)
@@ -237,26 +248,21 @@ def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
             row.cells[col] = cell
         cell.rects.append(label)
         if len(cell.rects) == 2:
-            state.large[cell] = None
-        col.size += 1
-        row.size += 1
-        if col.size == 1 or pt.x < col.lo:
-            col.lo = pt.x
-        if col.size == 1 or pt.x > col.hi:
-            col.hi = pt.x
-        if row.size == 1 or pt.y < row.lo:
-            row.lo = pt.y
-        if row.size == 1 or pt.y > row.hi:
-            row.hi = pt.y
-        if validate:
-            state.boxes[label] = (pt.x, pt.x, pt.y, pt.y)
+            _mark_large(state, cell)
+    if validate:
+        state.boxes = {l: (pt.x, pt.x, pt.y, pt.y) for l, pt in enumerate(pts, 1)}
     return state
+
+
+def _mark_large(state: _State, cell: _Cell) -> None:
+    state.stamps += 1
+    cell.stamp = state.stamps
+    state.large.append((state.stamps, cell))
 
 
 def _absorb_line(state: _State, a: _Line, b: _Line, axis: int) -> None:
     """Merge line b into a (cells at shared crossings concatenate with a's
     rectangles first); unlink b."""
-    large = state.large
     for other, cb in list(b.cells.items()):
         ca = a.cells.get(other)
         if ca is None:
@@ -268,10 +274,9 @@ def _absorb_line(state: _State, a: _Line, b: _Line, axis: int) -> None:
             other.cells[a] = cb
         else:
             ca.rects.extend(cb.rects)
-            if cb in large:
-                del large[cb]
-            if len(ca.rects) >= 2:
-                large[ca] = None
+            cb.stamp = 0
+            if len(ca.rects) >= 2 and not ca.stamp:
+                _mark_large(state, ca)
         del other.cells[b]
     a.size += b.size
     if b.lo < a.lo:
@@ -303,32 +308,43 @@ def _maybe_coarsen(state: _State, line: _Line, axis: int, stats: Optional[dict])
 def _check_invariants(state: _State) -> None:
     """Debug replay of the gridding invariants: rectangles inside their
     cell's span, line sizes within budget, consecutive lines over budget,
-    large-cell bookkeeping exact."""
+    large-cell bookkeeping exact.  Raises AssertionError, also under -O."""
     d = state.d
     cols = _lines(state.cols_head)
     rows = _lines(state.rows_head)
     seen: Dict[int, bool] = {}
-    count = 0
-    for axis, lines in ((1, cols), (2, rows)):
+    large = {cell for stamp, cell in state.large if stamp == cell.stamp}
+    for lines in (cols, rows):
         for ln in lines:
-            assert 1 <= ln.size <= d, "line size %d outside 1..%d" % (ln.size, d)
-            assert sum(len(c.rects) for c in ln.cells.values()) == ln.size
+            if not 1 <= ln.size <= d:
+                raise AssertionError("line size %d outside 1..%d" % (ln.size, d))
+            if sum(len(c.rects) for c in ln.cells.values()) != ln.size:
+                raise AssertionError("line size differs from its cells' rectangle count")
         for a, b in zip(lines, lines[1:]):
-            assert a.size + b.size > d, "consecutive lines fit the budget but were not merged"
-            assert a.hi < b.lo, "line spans out of order"
+            if a.size + b.size <= d:
+                raise AssertionError("consecutive lines fit the budget but were not merged")
+            if a.hi >= b.lo:
+                raise AssertionError("line spans out of order")
     for col in cols:
         for row, cell in col.cells.items():
-            assert cell.col is col and cell.row is row
-            assert cell.rects, "empty cell kept alive"
-            assert (cell in state.large) == (len(cell.rects) >= 2), "large-cell set stale"
+            if cell.col is not col or cell.row is not row:
+                raise AssertionError("cell linked to the wrong lines")
+            if not cell.rects:
+                raise AssertionError("empty cell kept alive")
+            if (cell in large) != (len(cell.rects) >= 2):
+                raise AssertionError("large-cell set stale")
+            large.discard(cell)
             for idx in cell.rects:
-                assert idx not in seen, "rectangle in two cells"
+                if idx in seen:
+                    raise AssertionError("rectangle in two cells")
                 seen[idx] = True
-                count += 1
                 x1, x2, y1, y2 = state.boxes[idx]
-                assert col.lo <= x1 and x2 <= col.hi and row.lo <= y1 and y2 <= row.hi, \
-                    "rectangle escapes its cell"
-    assert count == state.total
+                if not (col.lo <= x1 and x2 <= col.hi and row.lo <= y1 and y2 <= row.hi):
+                    raise AssertionError("rectangle escapes its cell")
+    if large:
+        raise AssertionError("large-cell set holds a cell off the grid")
+    if len(seen) != state.total:
+        raise AssertionError("%d rectangles in cells, %d alive" % (len(seen), state.total))
 
 
 def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
@@ -340,9 +356,11 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
     rep = state.rep
     validate = state.validate
     while state.total > 1:
+        while large and large[0][0] != large[0][1].stamp:
+            large.popleft()
         if not large:
             return False
-        cell = next(iter(large))
+        cell = large[0][1]
         rects = cell.rects
         i = rects[0]
         j = rects[1]
@@ -352,7 +370,8 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
         rep.append(rep[i] if rep[i] < rep[j] else rep[j])
         state.total -= 1
         if len(rects) < 2:
-            del large[cell]
+            cell.stamp = 0
+            large.popleft()
         col = cell.col
         row = cell.row
         col.size -= 1
@@ -402,13 +421,15 @@ def build_decomposition(perm: Permutation, r: int,
         stats.update(coarsen_cols=0, coarsen_rows=0, dense=False)
     state = _build_state(perm, d, validate)
     if _merge_loop(state, stats):
-        return DecompositionResult(seq=MergeSequence(state.steps), grid=None, width_bound=d)
+        seq = MergeSequence._of_steps(state.steps)
+        return DecompositionResult(seq=seq, grid=None, width_bound=d)
     if stats is not None:
         stats["dense"] = True
     M, col_cuts, row_cuts, reps = _dense_cells(state, perm)
     # every cell holds one rectangle and consecutive lines are over budget,
     # which forces the density the grid finder needs
-    assert M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2), "dense branch below threshold"
+    if not (M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2)):
+        raise AssertionError("dense branch below threshold")
     sub = find_grid(M, r)
     w = GridWitness([col_cuts[c - 1] for c in sub.col_cuts],
                     [row_cuts[c - 1] for c in sub.row_cuts],
@@ -431,11 +452,12 @@ def build_decomposition_budget(perm: Permutation, d: int,
         stats.update(coarsen_cols=0, coarsen_rows=0, dense=False)
     state = _build_state(perm, d, validate)
     if _merge_loop(state, stats):
-        return MergeSequence(state.steps)
+        return MergeSequence._of_steps(state.steps)
     if stats is not None:
         stats["dense"] = True
     M, _, _, _ = _dense_cells(state, perm)
-    assert M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2), "dense branch below threshold"
+    if not (M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2)):
+        raise AssertionError("dense branch below threshold")
     return M
 
 

@@ -171,7 +171,8 @@ def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
     # no detection: every block column holds fewer than r blocks per shared
     # column subset, hence fewer than r * C(r^2, r) wide blocks in total
     limit = r * comb(side, r)
-    assert all(c < limit for c in wide_per_col.values()), "wide-block bound violated"
+    if not all(c < limit for c in wide_per_col.values()):
+        raise AssertionError("wide-block bound violated")
     p2 = (M.p + side - 1) // side
     q2 = (M.q + side - 1) // side
     return PointSet(p2, q2, [b.cell for b in blocks])
@@ -213,8 +214,8 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
     reduced = res
     side = r * r
     inner_threshold = f * (reduced.p + reduced.q - 2)
-    assert reduced.p + reduced.q > 2 and len(reduced) > inner_threshold, \
-        "contraction lost too many points"
+    if not (reduced.p + reduced.q > 2 and len(reduced) > inner_threshold):
+        raise AssertionError("contraction lost too many points")
     limit = (11 * inner_threshold) // 10
     by_rows = sorted(reduced.points, key=lambda t: (t.y, t.x))
     trimmed = PointSet(reduced.p, reduced.q, by_rows[:limit])

@@ -1,11 +1,17 @@
 """Width replay and the budgeted decomposition builder."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_merge_sequence
 from permpat import (
     MergeSequence,
+    Permutation,
+    Point,
     PointSet,
     ValidationError,
     build_decomposition,
@@ -14,6 +20,8 @@ from permpat import (
     canonical_grid_decomposition,
     exact_width,
     first_violation,
+    format_merge_sequence,
+    format_point_set,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
@@ -22,6 +30,7 @@ from permpat import (
     verify_wide,
     width_of_decomposition,
 )
+from permpat.decompose import _replay_views
 
 
 def test_canonical_grid_decomposition_2x2_frozen_steps():
@@ -64,6 +73,20 @@ def test_builder_is_deterministic():
     a = build_decomposition(perm, 2)
     b = build_decomposition(perm, 2)
     assert [tuple(s) for s in a.seq] == [tuple(s) for s in b.seq]
+
+
+def test_builder_merge_order_is_pinned():
+    # the merge order is part of the output: a merge pick that takes the
+    # large cells in another order changes these digests
+    seq = build_decomposition(random_separable(5000, 1), 2).seq
+    assert len(seq) == 4999
+    assert hashlib.sha1(format_merge_sequence(seq).encode()).hexdigest() == \
+        "e147b3cff1105a7692cf7ac05a04e75581dd62b8"
+    cells = build_decomposition_budget(random_permutation(3000, 1), 5)
+    assert isinstance(cells, PointSet)
+    assert (cells.p, cells.q, len(cells)) == (600, 600, 2996)
+    assert hashlib.sha1(format_point_set(cells).encode()).hexdigest() == \
+        "d3b450c307f407e5cc985e3bf8a251983aab88ea"
 
 
 def test_builder_trivial_and_error_inputs():
@@ -120,3 +143,37 @@ def test_width_replay_rejects_foreign_sequence():
     perm = parse_permutation("2 1 3")
     with pytest.raises(ValidationError):
         width_of_decomposition(perm, parse_merge_sequence("1 5 6"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.sampled_from(["complete", "partial", "spread"]),
+       st.randoms(use_true_random=False))
+def test_width_replay_agrees_with_a_naive_count(word, kind, rng):
+    n = len(word)
+    if kind == "spread":
+        # labels 1..n in a random x-order, on gapped coordinates
+        xs = sorted(rng.sample(range(1, 10 * n + 1), n))
+        ys = sorted(rng.sample(range(1, 10 * n + 1), n))
+        labels = rng.sample(range(1, n + 1), n)
+        perm = Permutation({l: Point(xs[i], ys[word[i] - 1]) for i, l in enumerate(labels)})
+    else:
+        perm = Permutation({i: Point(i, v) for i, v in enumerate(word, 1)})
+    seq = random_merge_sequence(n, rng)
+    if kind == "partial":
+        seq = MergeSequence(list(seq)[:rng.randint(0, len(seq))])
+    # every step's new box against every other live box, in plane coordinates
+    box = {l: (p.x, p.x, p.y, p.y) for l, p in perm.pairs()}
+    want = []
+    for i, j, k in seq:
+        a, b = box.pop(i), box.pop(j)
+        new = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+        want.append((sum(o[0] <= new[1] and new[0] <= o[1] for o in box.values()),
+                     sum(o[2] <= new[3] and new[2] <= o[3] for o in box.values())))
+        box[k] = new
+    assert [(v1, v2) for _, v1, v2 in _replay_views(perm, seq)] == want
+    width = max([max(v) for v in want], default=0) + 1
+    assert width_of_decomposition(perm, seq) == width
+    for d in range(1, width + 2):
+        first = next(((p, max(v)) for p, v in enumerate(want, 1) if max(v) >= d), None)
+        assert first_violation(perm, seq, d) == first

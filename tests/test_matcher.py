@@ -170,10 +170,11 @@ def test_find_pattern_agrees_with_brute_force_on_any_complete_sequence(
 
 def test_witness_checks_survive_optimized_mode():
     # under ``python -O`` a failed witness check must still raise, on the
-    # DP, on each of match_auto's three exits, on the 2SAT track and in
-    # the grid finder
+    # DP, on each of match_auto's three exits, on the 2SAT track, in the
+    # grid finder and in the builder's invariant check
     script = textwrap.dedent("""
         import sys
+        import permpat.decompose as dec
         import permpat.griddetect as gd
         import permpat.matcher as m
         import permpat.monotone as mono
@@ -205,6 +206,12 @@ def test_witness_checks_survive_optimized_mode():
         def grid_check(failing):
             gd.verify_grid = lambda target, w, r: target.p not in failing
             return find_grid(tall, 2)
+
+        def invariants():
+            # the builder's validate=True check, on a state with a wrong count
+            state = dec._build_state(parse_permutation("2 1 3"), 384, validate=True)
+            state.total = 99
+            dec._check_invariants(state)
         print("optimize", sys.flags.optimize)
         for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
                            ("single", lambda: match_auto(parse_permutation("1"), pi)),
@@ -212,7 +219,8 @@ def test_witness_checks_survive_optimized_mode():
                            ("grid", lambda: grid_exit(p21, grid)),
                            ("poly_space_match", lambda: poly_space_match(p12, pi)),
                            ("find_grid", lambda: grid_check({200, 201})),
-                           ("find_grid transposed", lambda: grid_check({200}))]:
+                           ("find_grid transposed", lambda: grid_check({200})),
+                           ("builder invariants", invariants)]:
             try:
                 call()
                 print(name, "returned")
@@ -227,7 +235,8 @@ def test_witness_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
         "optimize 1", "find_pattern raised", "single raised", "sequence raised", "grid raised",
-        "poly_space_match raised", "find_grid raised", "find_grid transposed raised"]
+        "poly_space_match raised", "find_grid raised", "find_grid transposed raised",
+        "builder invariants raised"]
 
 
 def test_match_auto_agrees_with_brute_force_on_random_instances():
