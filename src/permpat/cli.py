@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``match`` (pattern occurrence, several backends),
-``decompose`` (bounded-width merge sequence or grid witness), ``grid``
-(grid extraction from a point set), ``width`` (exact width, exhaustive),
-``gen`` (instance generators), ``verify`` (replay a merge sequence
-against a width budget), ``bench`` (timing rows as CSV).
+``decompose`` (bounded-width merge sequence, grid witness or stalled
+cells), ``grid`` (grid extraction from a point set), ``width`` (exact
+width, exhaustive), ``gen`` (instance generators), ``verify`` (replay a
+merge sequence against a width budget).
 
 stdout carries only machine-readable payloads; diagnostics go to stderr.
 Exit codes: 0 found/success, 1 not found/verification-false, 2 error.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 from .core import (
@@ -37,7 +36,6 @@ from .core import (
 from .decompose import (
     MergeSequence,
     build_decomposition,
-    build_decomposition_budget,
     first_violation,
     verify_wide,  # unused here; bench/tracing.py wraps permpat.cli.verify_wide by name
     width_of_decomposition,
@@ -143,29 +141,25 @@ def cmd_decompose(args) -> int:
     if (args.r is None) == (args.budget is None):
         raise ValidationError("provide exactly one of --r and --budget")
     pi = _permutation_arg(args.text, args.t, "text")
-    if args.r is not None:
-        res = build_decomposition(pi, args.r)
-        if res.is_grid:
-            if args.verify and not verify_grid(pi, res.grid, args.r):
-                raise ValidationError("internal: emitted grid witness failed verification")
-            print("GRID")
-            print(format_grid_witness(res.grid))
-        else:
-            _print_sequence(pi, res.seq, res.width_bound, args.verify)
-        return 0
-    out = build_decomposition_budget(pi, args.budget)
-    if isinstance(out, MergeSequence):
-        _print_sequence(pi, out, args.budget, args.verify)
+    res = build_decomposition(pi, args.r, d=args.budget)
+    if res.seq is not None:
+        _print_sequence(pi, res.seq, res.width_bound, args.verify)
+    elif res.grid is not None:
+        if args.verify and not verify_grid(pi, res.grid, args.r):
+            raise ValidationError("internal: emitted grid witness failed verification")
+        print("GRID")
+        print(format_grid_witness(res.grid))
     else:
-        if args.verify and not 4 * len(out) > args.budget * (out.p + out.q - 2):
+        cells = res.cells
+        if args.verify and not 4 * len(cells) > args.budget * (cells.p + cells.q - 2):
             raise ValidationError("internal: emitted cells are below the density threshold")
         print("CELLS")
-        print(format_point_set(out))
+        print(format_point_set(cells))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# grid / width / gen / verify / bench
+# grid / width / gen / verify
 # ---------------------------------------------------------------------------
 
 def cmd_grid(args) -> int:
@@ -228,30 +222,6 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def cmd_bench(args) -> int:
-    sizes = sorted({int(tok) for tok in args.sizes.split(",") if tok.strip()})
-    algorithms = [tok.strip() for tok in args.algorithms.split(",") if tok.strip()]
-    known = {"decompose", "match-auto", "match-brute"}
-    bad = [a for a in algorithms if a not in known]
-    if bad or not algorithms or not sizes:
-        raise ValidationError("algorithms must be from %s and sizes nonempty" % sorted(known))
-    sigma = parse_permutation(args.p) if args.p else None
-    print("n,algorithm,millis")
-    for algorithm in algorithms:
-        for n in sizes:
-            pi = random_separable(n, args.seed)
-            start = time.perf_counter()
-            if algorithm == "decompose":
-                build_decomposition(pi, args.r)
-            elif algorithm == "match-auto":
-                match_auto(sigma if sigma is not None else parse_permutation("2 1 3"), pi)
-            else:
-                brute_force_match(sigma if sigma is not None else parse_permutation("2 1 3"), pi)
-            millis = (time.perf_counter() - start) * 1000.0
-            print("%d,%s,%.3f" % (n, algorithm, millis))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -311,15 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seq", metavar="FILE", required=True, help="merge sequence file (- for stdin)")
     v.add_argument("--d", type=int, required=True, help="view budget")
     v.set_defaults(func=cmd_verify)
-
-    b = subs.add_parser("bench", help="timing rows as CSV: n,algorithm,millis")
-    b.add_argument("--sizes", default="1000,2000,4000", help="comma-separated input lengths")
-    b.add_argument("--algorithms", default="decompose",
-                   help="comma-separated from decompose,match-auto,match-brute")
-    b.add_argument("--seed", type=int, default=1)
-    b.add_argument("--r", type=int, default=2, help="grid order for decompose rows")
-    b.add_argument("-p", metavar="PERM", help="pattern for match rows (default '2 1 3')")
-    b.set_defaults(func=cmd_bench)
 
     return parser
 

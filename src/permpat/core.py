@@ -506,11 +506,6 @@ def validate_merge_sequence(seq: MergeSequence, n: int, *, require_complete: boo
 # grid witnesses
 # ---------------------------------------------------------------------------
 
-def _target_points(target) -> Set[Point]:
-    # Accept anything exposing .points (Permutation, griddetect.PointSet).
-    return {Point(p[0], p[1]) for p in target.points}
-
-
 def verify_grid(target, w: GridWitness, r: int) -> bool:
     """Check an r x r grid witness against a permutation or point set: one
     witness per cell, every witness a point of the target lying inside its
@@ -520,7 +515,7 @@ def verify_grid(target, w: GridWitness, r: int) -> bool:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     if w.r != r:
         raise ValidationError("witness is %d x %d but r = %d was requested" % (w.r, w.r, r))
-    pts = _target_points(target)
+    pts = set(target.points)
     cc = (None,) + w.col_cuts + (None,)
     rc = (None,) + w.row_cuts + (None,)
     for j in range(r):

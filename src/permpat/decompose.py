@@ -8,6 +8,9 @@ merge sequence in which every new rectangle sees fewer than d others per
 axis — or every cell holds exactly one rectangle while at least two
 remain, in which case the cell occupancy pattern is dense enough for the
 grid finder and the permutation contains the canonical r x r grid pattern.
+``build_decomposition`` is the one entry point.  Given the grid order r
+it builds at d = 4 f(r) and answers a stall with the grid witness; given
+an explicit budget d it answers a stall with the occupied cells.
 
 ``verify_wide`` / ``width_of_decomposition`` replay a sequence with two
 Fenwick trees per axis, counting the live rectangles' low and high
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from .core import (
     GridWitness,
@@ -39,16 +42,19 @@ from .griddetect import PointSet, f_bound, find_grid
 @dataclass(frozen=True)
 class DecompositionResult:
     """Outcome of build_decomposition: exactly one of ``seq`` (a complete
-    merge sequence, d-wide for ``width_bound`` = d) or ``grid`` (an r x r
-    grid witness in the permutation's original coordinates)."""
+    merge sequence, d-wide for ``width_bound`` = d), ``grid`` (an r x r
+    grid witness in the permutation's original coordinates, for a build
+    from r) or ``cells`` (the stalled gridding's occupied cells, for a
+    build from an explicit budget d)."""
 
     seq: Optional[MergeSequence]
     grid: Optional[GridWitness]
     width_bound: Optional[int]
+    cells: Optional[PointSet] = None
 
     def __post_init__(self):
-        if (self.seq is None) == (self.grid is None):
-            raise ValidationError("result must carry exactly one of seq/grid")
+        if (self.seq is not None) + (self.grid is not None) + (self.cells is not None) != 1:
+            raise ValidationError("result must carry exactly one of seq/grid/cells")
 
     @property
     def is_grid(self) -> bool:
@@ -408,14 +414,23 @@ def _dense_cells(state: _State, perm: Permutation):
     return M, col_cuts, row_cuts, reps
 
 
-def build_decomposition(perm: Permutation, r: int,
+def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
+                        d: Optional[int] = None,
                         stats: Optional[dict] = None,
                         validate: bool = False) -> DecompositionResult:
-    """Merge-decompose perm with view budget d = 4 f(r): returns either a
-    complete d-wide merge sequence, or — when the merging stalls — an
-    r x r grid witness extracted from the dense cell pattern.  Runs in
-    O(n) merges plus one grid-finder call; deterministic."""
-    d = 4 * f_bound(r)
+    """Merge-decompose perm under a view budget: d = 4 f(r) when given the
+    grid order r, or the explicit budget d.  Returns a complete d-wide
+    merge sequence; when the merging stalls, an r x r grid witness
+    extracted from the dense cell pattern (from r), or that occupied-cell
+    PointSet itself (from d), which has more than (p + q - 2) d / 4 points.
+    Pass exactly one of r and d.  Runs in O(n) merges plus, from r, one
+    grid-finder call; deterministic."""
+    if (r is None) == (d is None):
+        raise ValidationError("pass exactly one of r and d")
+    if r is not None:
+        d = 4 * f_bound(r)
+    elif d < 1:
+        raise ValidationError("view budget must be >= 1, got %d" % d)
     _require_original_labels(perm)
     if stats is not None:
         stats.update(coarsen_cols=0, coarsen_rows=0, dense=False)
@@ -430,6 +445,8 @@ def build_decomposition(perm: Permutation, r: int,
     # which forces the density the grid finder needs
     if not (M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2)):
         raise AssertionError("dense branch below threshold")
+    if r is None:
+        return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M)
     sub = find_grid(M, r)
     w = GridWitness([col_cuts[c - 1] for c in sub.col_cuts],
                     [row_cuts[c - 1] for c in sub.row_cuts],
@@ -437,28 +454,6 @@ def build_decomposition(perm: Permutation, r: int,
     if not verify_grid(perm, w, r):
         raise AssertionError("internal: lifted dense-branch witness failed verification")
     return DecompositionResult(seq=None, grid=w, width_bound=None)
-
-
-def build_decomposition_budget(perm: Permutation, d: int,
-                               stats: Optional[dict] = None,
-                               validate: bool = False) -> Union[MergeSequence, PointSet]:
-    """Same loop under an explicit view budget d: a complete d-wide merge
-    sequence, or the occupied-cell PointSet once merging stalls (which
-    then has more than (p + q - 2) d / 4 points)."""
-    if d < 1:
-        raise ValidationError("view budget must be >= 1, got %d" % d)
-    _require_original_labels(perm)
-    if stats is not None:
-        stats.update(coarsen_cols=0, coarsen_rows=0, dense=False)
-    state = _build_state(perm, d, validate)
-    if _merge_loop(state, stats):
-        return MergeSequence._of_steps(state.steps)
-    if stats is not None:
-        stats["dense"] = True
-    M, _, _, _ = _dense_cells(state, perm)
-    if not (M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2)):
-        raise AssertionError("dense branch below threshold")
-    return M
 
 
 def canonical_grid_decomposition(r: int, s: int) -> MergeSequence:

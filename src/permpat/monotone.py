@@ -244,13 +244,15 @@ def monotone_decomposition(perm: Permutation, part: MonotonePartition,
     while pairs:
         if validate:
             for left, (p1, p2, bx) in pairs.items():
-                fresh = recount(left)
-                assert [p1, p2] == fresh[:2], "pin counters drifted"
+                if [p1, p2] != recount(left)[:2]:
+                    raise AssertionError("pin counters drifted")
             total = sum(max(p1, p2) for p1, p2, _ in pairs.values())
-            assert total <= 4 * (t - 1) * len(pairs), "averaging bound violated"
+            if total > 4 * (t - 1) * len(pairs):
+                raise AssertionError("averaging bound violated")
         left = min(pairs, key=lambda m: (max(pairs[m][0], pairs[m][1]), cls_of[m], m))
         p1, p2, bx = pairs[left]
-        assert p1 <= 4 * (t - 1) and p2 <= 4 * (t - 1), "selected pair exceeds pin bound"
+        if p1 > 4 * (t - 1) or p2 > 4 * (t - 1):
+            raise AssertionError("selected pair exceeds pin bound")
         i, j = left, nxt[left]
         k += 1
         steps.append((i, j, k))

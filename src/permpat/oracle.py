@@ -217,7 +217,8 @@ def check_tree_characterization(perm: Permutation, seq: MergeSequence, d: int) -
                 break
         # the lowest internal node of the restricted tree joins exactly
         # two X-points; anything else is a bug in this oracle
-        assert pair and bin(pair).count("1") == 2, "restricted tree scan broke"
+        if not pair or bin(pair).count("1") != 2:
+            raise AssertionError("restricted tree scan broke")
         lo = (pair & -pair).bit_length()
         hi = pair.bit_length()
         # count members of X strictly between the pair in each order

@@ -1,14 +1,18 @@
 """Core types, text formats, and combinatorial constructions."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permpat
 from permpat import (
     MergeSequence,
     ParseError,
     Permutation,
     Point,
+    PointSet,
     ValidationError,
     canonical_grid,
     format_embedding,
@@ -175,6 +179,12 @@ def test_verify_grid_canonical_and_negative():
     assert verify_grid(perm, w, 2)
     bad = GridWitness([3], [2], [[Point(2, 1), Point(4, 2)], [Point(1, 3), Point(3, 4)]])
     assert not verify_grid(perm, bad, 2)
+    # (1, 1) lies inside its cell but is no point of the target
+    off = GridWitness([2], [2], [[Point(1, 1), Point(4, 2)], [Point(1, 3), Point(3, 4)]])
+    assert not verify_grid(perm, off, 2)
+    cells = PointSet(4, 4, perm.points)
+    assert verify_grid(cells, w, 2)
+    assert not verify_grid(cells, off, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,3 +195,17 @@ def test_random_separable_avoids_obstructions(n, seed):
     perm = random_separable(n, seed)
     assert brute_force_match(parse_permutation("2 4 1 3"), perm) is None
     assert brute_force_match(parse_permutation("3 1 4 2"), perm) is None
+
+
+def test_all_lists_exactly_the_public_names():
+    names = permpat.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(permpat, name)] == []
+    star: dict = {}
+    exec("from permpat import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(names)
+    # and nothing the package imports for its users is left out of the list
+    public = {name for name, value in vars(permpat).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(names) - {"__version__"}

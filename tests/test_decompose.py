@@ -15,7 +15,6 @@ from permpat import (
     PointSet,
     ValidationError,
     build_decomposition,
-    build_decomposition_budget,
     canonical_grid,
     canonical_grid_decomposition,
     exact_width,
@@ -82,7 +81,7 @@ def test_builder_merge_order_is_pinned():
     assert len(seq) == 4999
     assert hashlib.sha1(format_merge_sequence(seq).encode()).hexdigest() == \
         "e147b3cff1105a7692cf7ac05a04e75581dd62b8"
-    cells = build_decomposition_budget(random_permutation(3000, 1), 5)
+    cells = build_decomposition(random_permutation(3000, 1), d=5).cells
     assert isinstance(cells, PointSet)
     assert (cells.p, cells.q, len(cells)) == (600, 600, 2996)
     assert hashlib.sha1(format_point_set(cells).encode()).hexdigest() == \
@@ -93,7 +92,11 @@ def test_builder_trivial_and_error_inputs():
     res = build_decomposition(parse_permutation("1"), 2)
     assert not res.is_grid and len(res.seq) == 0
     with pytest.raises(ValidationError):
-        build_decomposition_budget(parse_permutation("2 1"), 0)
+        build_decomposition(parse_permutation("2 1"), d=0)
+    # exactly one of the grid order and the explicit budget
+    for r, d in ((None, None), (2, 384)):
+        with pytest.raises(ValidationError):
+            build_decomposition(parse_permutation("2 1"), r, d=d)
 
 
 def test_builder_validate_flag():
@@ -114,18 +117,20 @@ def test_builder_width_never_exceeds_budget_on_random_inputs():
 
 def test_budget_variant_completes_with_generous_budget():
     perm = random_permutation(50, 8)
-    out = build_decomposition_budget(perm, 100)
-    assert isinstance(out, MergeSequence)
-    assert verify_wide(perm, out, 100)
+    res = build_decomposition(perm, d=100)
+    assert res.width_bound == 100 and res.grid is None and res.cells is None
+    assert verify_wide(perm, res.seq, 100)
 
 
 def test_budget_variant_dense_branch_returns_heavy_cells():
     perm = canonical_grid(5, 5)
-    out = build_decomposition_budget(perm, 2)
+    res = build_decomposition(perm, d=2)
+    assert res.seq is None and res.grid is None and not res.is_grid
+    out = res.cells
     assert isinstance(out, PointSet)
     assert out.p + out.q > 2
     assert 4 * len(out) > 2 * (out.p + out.q - 2)
-    again = build_decomposition_budget(perm, 2)
+    again = build_decomposition(perm, d=2).cells
     assert out == again
 
 

@@ -171,7 +171,8 @@ def test_find_pattern_agrees_with_brute_force_on_any_complete_sequence(
 def test_witness_checks_survive_optimized_mode():
     # under ``python -O`` a failed witness check must still raise, on the
     # DP, on each of match_auto's three exits, on the 2SAT track, in the
-    # grid finder and in the builder's invariant check
+    # grid finder, in the builder's invariant check and in the t-monotone
+    # decomposition's pin bound
     script = textwrap.dedent("""
         import sys
         import permpat.decompose as dec
@@ -180,7 +181,8 @@ def test_witness_checks_survive_optimized_mode():
         import permpat.monotone as mono
         from permpat import (DecompositionResult, PointSet, brute_force_grid,
                              build_decomposition, canonical_grid, find_grid, find_pattern,
-                             match_auto, parse_permutation, poly_space_match)
+                             greedy_monotone_partition, match_auto, monotone_decomposition,
+                             parse_permutation, poly_space_match)
 
         grid = canonical_grid(2, 2)
         witness = brute_force_grid(grid, 2)
@@ -212,6 +214,13 @@ def test_witness_checks_survive_optimized_mode():
             state = dec._build_state(parse_permutation("2 1 3"), 384, validate=True)
             state.total = 99
             dec._check_invariants(state)
+
+        def pin_bound():
+            # every box counts as pinned, so the one-class target breaks the
+            # 4 (t - 1) = 0 bound on the first pair
+            mono._inside = lambda inner, outer, axis: True
+            inc = parse_permutation("1 2 3 4")
+            return monotone_decomposition(inc, greedy_monotone_partition(inc))
         print("optimize", sys.flags.optimize)
         for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
                            ("single", lambda: match_auto(parse_permutation("1"), pi)),
@@ -220,7 +229,8 @@ def test_witness_checks_survive_optimized_mode():
                            ("poly_space_match", lambda: poly_space_match(p12, pi)),
                            ("find_grid", lambda: grid_check({200, 201})),
                            ("find_grid transposed", lambda: grid_check({200})),
-                           ("builder invariants", invariants)]:
+                           ("builder invariants", invariants),
+                           ("monotone_decomposition", pin_bound)]:
             try:
                 call()
                 print(name, "returned")
@@ -236,7 +246,7 @@ def test_witness_checks_survive_optimized_mode():
     assert proc.stdout.split("\n")[:-1] == [
         "optimize 1", "find_pattern raised", "single raised", "sequence raised", "grid raised",
         "poly_space_match raised", "find_grid raised", "find_grid transposed raised",
-        "builder invariants raised"]
+        "builder invariants raised", "monotone_decomposition raised"]
 
 
 def test_match_auto_agrees_with_brute_force_on_random_instances():
