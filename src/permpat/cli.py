@@ -43,7 +43,7 @@ from .decompose import (
 from .griddetect import PointSet, f_bound, find_grid, format_point_set, parse_point_set
 from .matcher import find_pattern, match_auto
 from .monotone import parse_monotone_partition, poly_space_match, t_monotone_match
-from .oracle import brute_force_match, exact_width, grid_search
+from .oracle import BRUTE_GRID_CAP, brute_force_match, exact_width, grid_search
 
 
 def _read_file(path: str) -> str:
@@ -169,14 +169,15 @@ def cmd_grid(args) -> int:
         M = parse_point_set(_read_file(args.points))
     else:
         pi = _permutation_arg(args.text, args.t, "text")
-        pts = pi.points
-        M = PointSet(max((p.x for p in pts), default=0),
-                     max((p.y for p in pts), default=0), pts)
+        M = PointSet(len(pi), len(pi), pi.points)
     r = args.r
     if M.p + M.q > 2 and len(M) > f_bound(r) * (M.p + M.q - 2):
         w = find_grid(M, r)
         print(format_grid_witness(w))
         return 0
+    if len(M) > BRUTE_GRID_CAP:
+        raise SizeCapError("%d points are below the density threshold, and the exhaustive "
+                           "cut search is capped at %d" % (len(M), BRUTE_GRID_CAP))
     w = grid_search(M.points, r)
     if w is None:
         print("NOT FOUND")

@@ -1,22 +1,23 @@
-"""Core types and operations for permutations as labeled point sets.
+"""Core types and operations for permutations as one-line words.
 
-A permutation here is a finite set of labeled points in general position:
-no two points share an x- or y-coordinate.  Labels are arbitrary positive
-integers; the *reduced* form relabels 1..n by increasing x and moves the
-points onto the grid [n] x [n] while preserving both coordinate orders.
-Everything downstream (width, decompositions, pattern matching) only ever
-looks at the two coordinate orders, so reduction is the canonical form.
+A permutation of length n is its one-line word: a tuple holding each of
+1..n once.  Label l names the point (l, word[l-1]), so the labels are the
+x-coordinates and the word gives the y-coordinates.  Everything
+downstream (width, decompositions, pattern matching) only ever looks at
+the two coordinate orders, so any point set in general position stands
+for the permutation ``reduce`` gives it: its y-ranks read in x-order.
 
 Also provided: merge sequences (the protocol objects of the width
 machinery), grid witnesses, and parsers/formatters for the one-line text
-interchange formats.
+interchange formats.  ``Point``s appear only where the formats and the
+grid witnesses need coordinates.
 """
 
 from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 
 class ParseError(ValueError):
@@ -37,108 +38,55 @@ class Point(NamedTuple):
 
 
 class Permutation:
-    """Immutable labeled point set in general position.
+    """Immutable permutation of 1..n, held as its one-line word.
 
-    ``placement`` maps label -> Point.  Labels must be positive and
-    distinct (they are dict keys, so distinctness is free); coordinates
-    must be positive and pairwise distinct per axis.
+    ``word[l-1]`` is the value at position l: label l is the point
+    (l, word[l-1]).  The constructor checks that the word holds every
+    int of 1..n exactly once.
     """
 
-    __slots__ = ("_placement", "_labels", "_xrank", "_yrank")
+    __slots__ = ("_word",)
 
-    def __init__(self, placement: Mapping[int, Point]):
-        pl: Dict[int, Point] = {}
-        xs: Set[int] = set()
-        ys: Set[int] = set()
-        for label, p in placement.items():
-            if not isinstance(label, int) or label < 1:
-                raise ValidationError("labels must be positive integers, got %r" % (label,))
-            if type(p) is not Point or type(p.x) is not int or type(p.y) is not int:
-                p = Point(int(p[0]), int(p[1]))
-            if p.x < 1 or p.y < 1:
-                raise ValidationError("coordinates must be positive, got %r for label %d" % (p, label))
-            if p.x in xs:
-                raise ValidationError("general position violated: duplicate x-coordinate %d" % p.x)
-            if p.y in ys:
-                raise ValidationError("general position violated: duplicate y-coordinate %d" % p.y)
-            xs.add(p.x)
-            ys.add(p.y)
-            pl[label] = p
-        self._placement = pl
-        self._labels = tuple(sorted(pl))
-        self._xrank: Optional[Dict[int, int]] = None
-        self._yrank: Optional[Dict[int, int]] = None
-
-    # -- basic accessors ------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._placement)
-
-    def __contains__(self, label: int) -> bool:
-        return label in self._placement
+    def __init__(self, word: Iterable[int]):
+        w = tuple(word)
+        n = len(w)
+        seen = bytearray(n + 1)
+        for v in w:
+            if type(v) is not int:
+                raise ValidationError("word entries must be ints, got %r" % (v,))
+            if not 1 <= v <= n:
+                raise ValidationError("value %d out of range 1..%d" % (v, n))
+            if seen[v]:
+                raise ValidationError("duplicate value %d" % v)
+            seen[v] = 1
+        self._word = w
 
     @property
-    def labels(self) -> Tuple[int, ...]:
-        return self._labels
+    def word(self) -> Tuple[int, ...]:
+        """The one-line word: the y-coordinates in label (= x) order."""
+        return self._word
 
-    def point(self, label: int) -> Point:
-        try:
-            return self._placement[label]
-        except KeyError:
-            raise ValidationError("label %r not in permutation" % (label,)) from None
+    def __len__(self) -> int:
+        return len(self._word)
 
     @property
     def points(self) -> Tuple[Point, ...]:
-        """Points in label order."""
-        return tuple(self._placement[l] for l in self._labels)
-
-    def pairs(self) -> Tuple[Tuple[int, Point], ...]:
-        return tuple((l, self._placement[l]) for l in self._labels)
-
-    # -- derived orderings ----------------------------------------------
-
-    def _ranks(self) -> Tuple[Dict[int, int], Dict[int, int]]:
-        if self._xrank is None:
-            by_x = sorted(self._labels, key=lambda l: self._placement[l].x)
-            by_y = sorted(self._labels, key=lambda l: self._placement[l].y)
-            self._xrank = {l: i + 1 for i, l in enumerate(by_x)}
-            self._yrank = {l: i + 1 for i, l in enumerate(by_y)}
-        return self._xrank, self._yrank  # type: ignore[return-value]
-
-    def xrank(self, label: int) -> int:
-        return self._ranks()[0][label]
-
-    def yrank(self, label: int) -> int:
-        return self._ranks()[1][label]
-
-    def by_x(self) -> Tuple[int, ...]:
-        """Labels ordered by increasing x-coordinate."""
-        xr = self._ranks()[0]
-        return tuple(sorted(self._labels, key=xr.__getitem__))
-
-    def pattern(self) -> Tuple[int, ...]:
-        """One-line word of the reduced form: y-ranks read in x-order."""
-        xr, yr = self._ranks()
-        word = [0] * len(self)
-        for l in self._labels:
-            word[xr[l] - 1] = yr[l]
-        return tuple(word)
+        """The points (l, word[l-1]) in label order."""
+        return tuple(Point(l, v) for l, v in enumerate(self._word, 1))
 
     def one_line(self) -> str:
-        return " ".join(str(v) for v in self.pattern())
-
-    # -- equality --------------------------------------------------------
+        return " ".join(str(v) for v in self._word)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._placement == other._placement
+        return self._word == other._word
 
     def __hash__(self) -> int:
-        return hash(self.pairs())
+        return hash(self._word)
 
     def __repr__(self) -> str:
-        if len(self) <= 12 and self._labels == tuple(range(1, len(self) + 1)):
+        if len(self) <= 12:
             return "Permutation(%s)" % self.one_line()
         return "Permutation(<%d points>)" % len(self)
 
@@ -222,8 +170,8 @@ Embedding = Dict[int, int]  # pattern label -> target label
 def parse_permutation(text: str) -> Permutation:
     """Parse one-line notation: n distinct integers 1..n, whitespace-separated.
 
-    Position i (1-based) holds value v; the point set is {(i, v)} with
-    label i.  The result is its own reduced form.
+    The values, in order, are the word: position i (1-based) holds the
+    point (i, v).
     """
     tokens = text.split()
     if not tokens:
@@ -231,19 +179,13 @@ def parse_permutation(text: str) -> Permutation:
     values: List[int] = []
     for tok in tokens:
         try:
-            v = int(tok)
+            values.append(int(tok))
         except ValueError:
             raise ParseError("bad token %r: not an integer" % (tok,)) from None
-        values.append(v)
-    n = len(values)
-    seen: Set[int] = set()
-    for tok, v in zip(tokens, values):
-        if not 1 <= v <= n:
-            raise ParseError("bad token %r: value out of range 1..%d" % (tok, n))
-        if v in seen:
-            raise ParseError("bad token %r: duplicate value" % (tok,))
-        seen.add(v)
-    return Permutation({i + 1: Point(i + 1, v) for i, v in enumerate(values)})
+    try:
+        return Permutation(values)
+    except ValidationError as exc:
+        raise ParseError("bad permutation: %s" % exc) from None
 
 
 def parse_merge_sequence(text: str) -> MergeSequence:
@@ -334,50 +276,40 @@ def format_embedding(emb: Embedding) -> str:
 # ---------------------------------------------------------------------------
 
 def reduce(points: Iterable[Point]) -> Permutation:
-    """Reduced permutation of a point collection: label i goes to the point
-    with the i-th smallest x, placed at (x-rank, y-rank)."""
-    pts = [Point(int(p[0]), int(p[1])) for p in points]
-    if len({p.x for p in pts}) != len(pts):
+    """The permutation of a point collection in general position: its
+    y-ranks read in x-order."""
+    pts = sorted((int(p[0]), int(p[1])) for p in points)
+    ys = sorted(y for _, y in pts)
+    if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
         raise ValidationError("general position violated: duplicate x-coordinate in input")
-    if len({p.y for p in pts}) != len(pts):
+    if any(a == b for a, b in zip(ys, ys[1:])):
         raise ValidationError("general position violated: duplicate y-coordinate in input")
-    by_x = sorted(pts)
-    ys = sorted(p.y for p in pts)
-    yrank = {y: i + 1 for i, y in enumerate(ys)}
-    return Permutation({i + 1: Point(i + 1, yrank[p.y]) for i, p in enumerate(by_x)})
-
-
-def restrict(perm: Permutation, labels: Iterable[int]) -> Permutation:
-    """Sub-permutation on a subset of labels (labels and coordinates kept)."""
-    subset = set(labels)
-    missing = subset - set(perm.labels)
-    if missing:
-        raise ValidationError("labels not in permutation: %s" % sorted(missing))
-    return Permutation({l: perm.point(l) for l in subset})
+    yrank = {y: i for i, y in enumerate(ys, 1)}
+    return Permutation([yrank[y] for _, y in pts])
 
 
 def verify_embedding(pattern: Permutation, target: Permutation, emb: Mapping[int, int]) -> bool:
-    """Check that emb maps the pattern's points to target points preserving
+    """Check that emb maps the pattern's labels to target labels preserving
     both coordinate orders (injectively).  Non-total maps or images outside
     the target are validation errors; order violations just return False.
     """
-    slabels = pattern.labels
-    if set(emb.keys()) != set(slabels):
+    m = len(pattern)
+    n = len(target)
+    if set(emb.keys()) != set(range(1, m + 1)):
         raise ValidationError("embedding is not a total map on the pattern's labels")
-    image = list(emb.values())
+    image = [emb[s] for s in range(1, m + 1)]
     for t in image:
-        if t not in target:
+        if type(t) is not int or not 1 <= t <= n:
             raise ValidationError("embedding image %r is not a target label" % (t,))
-    if len(set(image)) != len(image):
+    if len(set(image)) != m:
         return False
-    pts_s = [pattern.point(l) for l in slabels]
-    pts_t = [target.point(emb[l]) for l in slabels]
-    m = len(slabels)
+    sw = pattern.word
+    tw = target.word
+    ys = [tw[t - 1] for t in image]
     for a in range(m):
         for b in range(a + 1, m):
-            if (pts_s[a].x < pts_s[b].x) != (pts_t[a].x < pts_t[b].x):
-                return False
-            if (pts_s[a].y < pts_s[b].y) != (pts_t[a].y < pts_t[b].y):
+            # pattern label a + 1 lies left of b + 1
+            if image[a] > image[b] or (sw[a] < sw[b]) != (ys[a] < ys[b]):
                 return False
     return True
 
@@ -388,46 +320,31 @@ def canonical_grid(r: int, s: int) -> Permutation:
     rows (bottom to top); each row is increasing, each column decreasing.
 
     The point in row i (1..s), column j (1..r) sits at
-    ``((j-1)s + (s-i+1), (i-1)r + j)``; its label equals its x-coordinate.
+    ``((j-1)s + (s-i+1), (i-1)r + j)``.
     """
     if r < 1 or s < 1:
         raise ValidationError("grid dimensions must be >= 1, got %d x %d" % (r, s))
-    placement = {}
+    word = [0] * (r * s)
     for i in range(1, s + 1):
         for j in range(1, r + 1):
-            x = (j - 1) * s + (s - i + 1)
-            y = (i - 1) * r + j
-            placement[x] = Point(x, y)
-    return Permutation(placement)
+            word[(j - 1) * s + (s - i)] = (i - 1) * r + j
+    return Permutation(word)
 
 
 def substitute(outer: Permutation, x: int, inner: Permutation) -> Permutation:
     """Replace the point labeled x by a copy of ``inner`` occupying x's
     place: inner points keep their mutual orders and compare to the rest
-    of ``outer`` exactly as x did.  Inner labels are remapped to fresh
-    labels above max(outer labels), assigned in increasing inner-label
-    order; surviving outer labels are kept."""
-    if x not in outer:
-        raise ValidationError("label %r not in permutation" % (x,))
+    of ``outer`` exactly as x did.  In the word, inner's values take the
+    place of x's value v, shifted up by v - 1, and the outer values above
+    v move up by len(inner) - 1."""
     n = len(outer)
+    if type(x) is not int or not 1 <= x <= n:
+        raise ValidationError("label %r not in permutation" % (x,))
+    v = outer.word[x - 1]
     m = len(inner)
-    xr_o = {l: outer.xrank(l) for l in outer.labels}
-    yr_o = {l: outer.yrank(l) for l in outer.labels}
-    rx, ry = xr_o[x], yr_o[x]
-    base = max(outer.labels)
-    placement: Dict[int, Point] = {}
-    for l in outer.labels:
-        if l == x:
-            continue
-        px = xr_o[l] if xr_o[l] < rx else xr_o[l] + m - 1
-        py = yr_o[l] if yr_o[l] < ry else yr_o[l] + m - 1
-        placement[l] = Point(px, py)
-    inner_sorted = sorted(inner.labels)
-    for idx, l in enumerate(inner_sorted):
-        px = rx - 1 + inner.xrank(l)
-        py = ry - 1 + inner.yrank(l)
-        placement[base + 1 + idx] = Point(px, py)
-    return Permutation(placement)
+    word = [y if y < v else y + m - 1 for y in outer.word]
+    word[x - 1:x] = [v - 1 + y for y in inner.word]
+    return Permutation(word)
 
 
 def random_permutation(n: int, seed: int) -> Permutation:
@@ -437,7 +354,7 @@ def random_permutation(n: int, seed: int) -> Permutation:
     rng = _random.Random(seed)
     values = list(range(1, n + 1))
     rng.shuffle(values)
-    return Permutation({i + 1: Point(i + 1, v) for i, v in enumerate(values)})
+    return Permutation(values)
 
 
 def random_separable(n: int, seed: int) -> Permutation:
@@ -467,7 +384,7 @@ def random_separable(n: int, seed: int) -> Permutation:
             bases = [base + size - cuts[t + 1] for t in range(k)]
         for b, s in reversed(list(zip(bases, parts))):
             stack.append((b, s))
-    return Permutation({i + 1: Point(i + 1, v) for i, v in enumerate(values)})
+    return Permutation(values)
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +432,20 @@ def verify_grid(target, w: GridWitness, r: int) -> bool:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     if w.r != r:
         raise ValidationError("witness is %d x %d but r = %d was requested" % (w.r, w.r, r))
-    pts = set(target.points)
+    if isinstance(target, Permutation):
+        word = target.word
+        n = len(word)
+
+        def present(p: Point) -> bool:
+            return 1 <= p.x <= n and word[p.x - 1] == p.y
+    else:
+        present = set(target.points).__contains__
     cc = (None,) + w.col_cuts + (None,)
     rc = (None,) + w.row_cuts + (None,)
     for j in range(r):
         for i in range(r):
             p = w.witnesses[j][i]
-            if p not in pts:
+            if not present(p):
                 return False
             if cc[i] is not None and p.x <= cc[i]:
                 return False

@@ -43,7 +43,7 @@ from .griddetect import PointSet, f_bound, find_grid
 class DecompositionResult:
     """Outcome of build_decomposition: exactly one of ``seq`` (a complete
     merge sequence, d-wide for ``width_bound`` = d), ``grid`` (an r x r
-    grid witness in the permutation's original coordinates, for a build
+    grid witness in the permutation's coordinates, for a build
     from r) or ``cells`` (the stalled gridding's occupied cells, for a
     build from an explicit budget d)."""
 
@@ -59,13 +59,6 @@ class DecompositionResult:
     @property
     def is_grid(self) -> bool:
         return self.grid is not None
-
-
-def _require_original_labels(perm: Permutation) -> None:
-    n = len(perm)
-    if perm.labels != tuple(range(1, n + 1)):
-        raise ValidationError("merge sequences address original labels 1..n; "
-                              "reduce the permutation first")
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +112,10 @@ def _replay_views(perm: Permutation, seq: MergeSequence) -> Iterator[Tuple[int, 
     """Yield (step number, x-views, y-views) of each newly created
     rectangle, counted against the rectangles alive alongside it."""
     n = len(perm)
-    _require_original_labels(perm)
     validate_merge_sequence(seq, n)
-    # rank coordinates; intersection tests only care about relative order
-    xr = [0] * (n + 1)
-    yr = [0] * (n + 1)
-    for pos, (label, y) in enumerate(zip(perm.by_x(), perm.pattern()), 1):
-        xr[label] = pos
-        yr[label] = y
+    # label l sits at x-rank l and y-rank word[l-1]
+    xr = list(range(n + 1))
+    yr = [0, *perm.word]
     yield from zip(range(1, len(seq) + 1), _axis_views(xr, seq), _axis_views(yr, seq))
 
 
@@ -173,8 +162,8 @@ class _Cell:
 
 
 class _Line:
-    """A gridding column or row: its size (rectangle count), original
-    coordinate span, cells keyed by the crossing line, and neighbor links."""
+    """A gridding column or row: its size (rectangle count), span of
+    coordinates, cells keyed by the crossing line, and neighbor links."""
 
     __slots__ = ("size", "lo", "hi", "cells", "prv", "nxt")
 
@@ -232,21 +221,16 @@ def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
     state.cols_head = cols[0]
     state.rows_head = rows[0]
 
-    # line c holds the points of ranks c*d+1 .. (c+1)*d on its axis
-    by_x = perm.by_x()
-    word = perm.pattern()
-    pts = perm.points  # in label order, and the labels are 1..n
-    xs = [pts[label - 1].x for label in by_x]
-    ys = sorted(pt.y for pt in pts)
-    for lines, coords in ((cols, xs), (rows, ys)):
+    # line c holds the points of coordinates c*d+1 .. (c+1)*d on its axis
+    for lines in (cols, rows):
         for c, line in enumerate(lines):
-            end = min(c * d + d, n)
-            line.size = end - c * d
-            line.lo = coords[c * d]
-            line.hi = coords[end - 1]
-    for pos, label in enumerate(by_x):
-        col = cols[pos // d]
-        row = rows[(word[pos] - 1) // d]
+            line.lo = c * d + 1
+            line.hi = min(c * d + d, n)
+            line.size = line.hi - c * d
+    word = perm.word
+    for label, y in enumerate(word, 1):
+        col = cols[(label - 1) // d]
+        row = rows[(y - 1) // d]
         cell = col.cells.get(row)
         if cell is None:
             cell = _Cell(col, row)
@@ -256,7 +240,7 @@ def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
         if len(cell.rects) == 2:
             _mark_large(state, cell)
     if validate:
-        state.boxes = {l: (pt.x, pt.x, pt.y, pt.y) for l, pt in enumerate(pts, 1)}
+        state.boxes = {l: (l, l, y, y) for l, y in enumerate(word, 1)}
     return state
 
 
@@ -396,18 +380,21 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
 
 def _dense_cells(state: _State, perm: Permutation):
     """PointSet of occupied cells plus the maps needed to pull a grid
-    witness on the cells back to the permutation: per-column/row original
-    coordinate cuts and a representative original point per cell."""
+    witness on the cells back to the permutation: per-column/row
+    coordinate cuts and a representative point of the permutation per
+    cell."""
     cols = _lines(state.cols_head)
     rows = _lines(state.rows_head)
     row_index = {ln: i + 1 for i, ln in enumerate(rows)}
+    word = perm.word
     pts: List[Point] = []
     reps: Dict[Point, Point] = {}
     for ci, col in enumerate(cols, 1):
         for rline, cell in col.cells.items():
             cellpt = Point(ci, row_index[rline])
             pts.append(cellpt)
-            reps[cellpt] = perm.point(state.rep[cell.rects[0]])
+            label = state.rep[cell.rects[0]]
+            reps[cellpt] = Point(label, word[label - 1])
     M = PointSet(len(cols), len(rows), sorted(pts))
     col_cuts = [c.hi for c in cols]
     row_cuts = [r.hi for r in rows]
@@ -431,7 +418,6 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         d = 4 * f_bound(r)
     elif d < 1:
         raise ValidationError("view budget must be >= 1, got %d" % d)
-    _require_original_labels(perm)
     if stats is not None:
         stats.update(coarsen_cols=0, coarsen_rows=0, dense=False)
     state = _build_state(perm, d, validate)

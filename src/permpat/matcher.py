@@ -41,11 +41,11 @@ from .core import (
     MergeStep,
     Permutation,
     ValidationError,
-    reduce,
+    reduce,  # unused here; bench/tracing.py wraps permpat.matcher.reduce by name
     validate_merge_sequence,
     verify_embedding,
 )
-from .decompose import _require_original_labels, build_decomposition
+from .decompose import build_decomposition
 
 Box = Tuple[int, int, int, int]  # x1, x2, y1, y2
 
@@ -62,48 +62,40 @@ class VisibilityGraph:
     included, to its (x1, x2, y1, y2) box; a rectangle is live while it
     has an adjacency entry.
 
-    Per axis, the occupied coordinates are kept in a sorted doubly linked
-    list recording which rectangle owns a left/right endpoint there, so
-    the neighbours of a freshly merged rectangle are found by scanning
-    only the coordinates under its own projection: anything overlapping
-    the new interval either has an endpoint inside it or already viewed
-    one of the two merged rectangles.
+    Per axis, the coordinates 1..n still holding an endpoint are kept in a
+    doubly linked list (0 ends it) recording which rectangle owns a
+    left/right endpoint there.  Viewing only grows with the box, so a
+    merged rectangle views everything either child viewed, and the rest
+    of its neighbours are found by scanning only the coordinates under
+    its own projections: anything else overlapping a new interval has an
+    endpoint inside it.
     """
 
     __slots__ = ("boxes", "_adj", "_owner", "_nxt", "_prv")
 
     def __init__(self, perm: Permutation):
-        self.boxes: Dict[int, Box] = {}
-        self._adj: Tuple[Dict[int, Set[int]], Dict[int, Set[int]]] = ({}, {})
-        self._owner: Tuple[Dict[int, List[int]], Dict[int, List[int]]] = ({}, {})
-        self._nxt: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
-        self._prv: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
-        for label, pt in perm.pairs():
-            self.boxes[label] = (pt.x, pt.x, pt.y, pt.y)
-            self._adj[0][label] = set()
-            self._adj[1][label] = set()
-        for axis in (0, 1):
-            owner, nxt, prv = self._owner[axis], self._nxt[axis], self._prv[axis]
-            prev = 0
-            for c, label in sorted((pt[axis], lab) for lab, pt in perm.pairs()):
-                owner[c] = [label, label]  # degenerate: left and right endpoint
-                prv[c] = prev
-                if prev:
-                    nxt[prev] = c
-                prev = c
-            if prev:
-                nxt[prev] = 0
+        n = len(perm)
+        word = perm.word
+        self.boxes: Dict[int, Box] = {l: (l, l, y, y) for l, y in enumerate(word, 1)}
+        self._adj: Dict[int, Set[int]] = {l: set() for l in range(1, n + 1)}
+        by_y = [0] * (n + 1)
+        for l, y in enumerate(word, 1):
+            by_y[y] = l
+        # coordinate -> [owner of a left endpoint, of a right endpoint]
+        self._owner = ([[c, c] for c in range(n + 1)], [[l, l] for l in by_y])
+        self._nxt = (list(range(1, n + 1)) + [0], list(range(1, n + 1)) + [0])
+        self._prv = (list(range(-1, n)), list(range(-1, n)))
 
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._adj[0])
+        return len(self._adj)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj[0]
+        return v in self._adj
 
     def neighbor_set(self, v: int) -> Set[int]:
-        return self._adj[0][v] | self._adj[1][v]
+        return self._adj[v]
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted list of rectangles viewing v along some axis."""
@@ -122,7 +114,6 @@ class VisibilityGraph:
             self._nxt[axis][p] = nx
         if nx:
             self._prv[axis][nx] = p
-        del self._prv[axis][pos], self._nxt[axis][pos], self._owner[axis][pos]
 
     def merge(self, step: MergeStep) -> None:
         i, j, k = step
@@ -133,6 +124,8 @@ class VisibilityGraph:
         bi, bj = self.boxes[i], self.boxes[j]
         box = (min(bi[0], bj[0]), max(bi[1], bj[1]), min(bi[2], bj[2]), max(bi[3], bj[3]))
         self.boxes[k] = box
+        adj = self._adj
+        seen = (adj[i] | adj[j]) - {i, j}
         for axis in (0, 1):
             lo, hi = box[2 * axis], box[2 * axis + 1]
             owner = self._owner[axis]
@@ -146,8 +139,6 @@ class VisibilityGraph:
             for pos in dead:
                 if owner[pos][0] == 0 and owner[pos][1] == 0:
                     self._unlink(axis, pos)
-            adj = self._adj[axis]
-            seen = (adj[i] | adj[j]) - {i, j}
             nxt = self._nxt[axis]
             pos = lo
             while pos and pos <= hi:
@@ -157,14 +148,14 @@ class VisibilityGraph:
                 if r and r != k:
                     seen.add(r)
                 pos = nxt[pos]
-            for v in adj[i]:
-                adj[v].discard(i)
-            for v in adj[j]:
-                adj[v].discard(j)
-            del adj[i], adj[j]
-            adj[k] = seen
-            for v in seen:
-                adj[v].add(k)
+        for v in adj[i]:
+            adj[v].discard(i)
+        for v in adj[j]:
+            adj[v].discard(j)
+        del adj[i], adj[j]
+        adj[k] = seen
+        for v in seen:
+            adj[v].add(k)
 
 
 def connected_sets(graph: VisibilityGraph, v: int, l: int) -> List[Tuple[int, ...]]:
@@ -295,19 +286,17 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     n = len(pi)
     if ell < 1:
         raise ValidationError("pattern must be nonempty")
-    _require_original_labels(pi)
     validate_merge_sequence(seq, n, require_complete=True)
     if ell > n:
         return None
-    labels = sorted(sigma.labels)
     if n == 1:
-        emb = {labels[0]: 1}
+        emb = {1: 1}
         if not verify_embedding(sigma, pi, emb):
             raise AssertionError("internal: single-point embedding failed")
         return emb
 
-    xlo, xhi = _extents([sigma.xrank(s) for s in labels])
-    ylo, yhi = _extents([sigma.yrank(s) for s in labels])
+    xlo, xhi = _extents(range(1, ell + 1))
+    ylo, yhi = _extents(sigma.word)
     tuples = _mask_tuples(ell)
     graph = VisibilityGraph(pi)
     boxes = graph.boxes
@@ -380,7 +369,7 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     while stack:
         key, parts = stack.pop()
         if len(key) == 1 and key[0] <= n:
-            emb[labels[parts[key[0]].bit_length() - 1]] = key[0]
+            emb[parts[key[0]].bit_length()] = key[0]  # bit t is label t + 1
             continue
         k = key[-1]
         j1, j2, _ = seq[k - n - 1]
@@ -416,27 +405,16 @@ def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
         raise ValidationError("pattern must be nonempty")
     if ell > n:
         return None
-    by_x = pi.by_x()
     if ell == 1:
-        emb = {sigma.labels[0]: by_x[0]}
+        emb = {1: 1}
         if not verify_embedding(sigma, pi, emb):
             raise AssertionError("internal: single-label embedding failed")
         return emb
-    sig_by_x = sorted(sigma.labels, key=lambda s: sigma.xrank(s))
-    red = reduce(pi.points)  # canonical copy for the merge machinery
-    res = build_decomposition(red, ell)
-    if res.grid is not None:
-        emb = {}
-        for i, s in enumerate(sig_by_x, start=1):
-            wit = res.grid.witnesses[sigma.yrank(s) - 1][i - 1]
-            emb[s] = by_x[wit.x - 1]  # reduced x-coordinate = x-rank in pi
-        if not verify_embedding(sigma, pi, emb):
-            raise AssertionError("internal: grid embedding failed")
-        return emb
-    inner = find_pattern(sigma, red, res.seq)
-    if inner is None:
-        return None
-    emb = {s: by_x[t - 1] for s, t in inner.items()}
+    res = build_decomposition(pi, ell)
+    if res.grid is None:
+        return find_pattern(sigma, pi, res.seq)
+    # a witness's x-coordinate is its label in pi
+    emb = {s: res.grid.witnesses[y - 1][s - 1].x for s, y in enumerate(sigma.word, 1)}
     if not verify_embedding(sigma, pi, emb):
-        raise AssertionError("internal: lifted embedding failed")
+        raise AssertionError("internal: grid embedding failed")
     return emb

@@ -46,7 +46,8 @@ PatternAssignment = Dict[int, int]
 @dataclass(frozen=True)
 class MonotonePartition:
     """Partition of a permutation's labels into classes, each monotone in
-    its stated direction ("inc" or "dec")."""
+    its stated direction ("inc" or "dec").  A class's labels are kept in
+    increasing order, which is the class's x-order."""
 
     classes: Tuple[Tuple[Tuple[int, ...], str], ...]
 
@@ -56,6 +57,10 @@ class MonotonePartition:
                 raise ValidationError("class direction must be 'inc' or 'dec', got %r" % (direction,))
             if not labels:
                 raise ValidationError("partition classes must be nonempty")
+            if any(type(s) is not int for s in labels):
+                raise ValidationError("class labels must be ints, got %r" % (labels,))
+        object.__setattr__(self, "classes", tuple((tuple(sorted(labels)), direction)
+                                                  for labels, direction in self.classes))
 
     @property
     def t(self) -> int:
@@ -82,7 +87,7 @@ def parse_monotone_partition(text: str) -> MonotonePartition:
         if not sep or head.strip() not in (INCREASING, DECREASING):
             raise ParseError("line %d: expected 'inc:' or 'dec:' prefix" % lineno)
         try:
-            labels = tuple(sorted(int(tok) for tok in rest.split()))
+            labels = tuple(int(tok) for tok in rest.split())
         except ValueError:
             raise ParseError("line %d: labels must be integers" % lineno)
         if not labels:
@@ -100,9 +105,8 @@ def format_monotone_partition(part: MonotonePartition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_monotone(perm: Permutation, labels: Sequence[int], direction: str) -> bool:
-    mem = sorted(labels, key=lambda s: perm.point(s).x)
-    ys = [perm.point(s).y for s in mem]
+def _is_monotone(ys: Sequence[int], direction: str) -> bool:
+    """Whether the values, read in x-order, run in ``direction``."""
     if direction == INCREASING:
         return all(a < b for a, b in zip(ys, ys[1:]))
     return all(a > b for a, b in zip(ys, ys[1:]))
@@ -111,15 +115,17 @@ def _is_monotone(perm: Permutation, labels: Sequence[int], direction: str) -> bo
 def validate_monotone_partition(perm: Permutation, part: MonotonePartition) -> None:
     """Raise unless the classes partition the labels and each restriction
     is monotone in its stated direction."""
+    n = len(perm)
+    word = perm.word
     seen: Set[int] = set()
     total = 0
     for idx, (labels, direction) in enumerate(part.classes, start=1):
         for s in labels:
-            if s not in perm:
+            if not 1 <= s <= n:
                 raise ValidationError("class %d: label %d is not in the permutation" % (idx, s))
         seen.update(labels)
         total += len(labels)
-        if not _is_monotone(perm, labels, direction):
+        if not _is_monotone([word[s - 1] for s in labels], direction):
             raise ValidationError("class %d is not %s" % (idx, "increasing" if direction == INCREASING else "decreasing"))
     if total != len(seen) or len(seen) != len(perm):
         raise ValidationError("classes do not partition the labels")
@@ -129,12 +135,11 @@ def validate_monotone_partition(perm: Permutation, part: MonotonePartition) -> N
 # greedy partitioning
 # ---------------------------------------------------------------------------
 
-def _longest_monotone(points: List[Tuple[int, int, int]], decreasing: bool) -> List[int]:
-    """Indices (into ``points``, which is sorted by x) of a longest
-    increasing — or decreasing — subsequence in y, preferring the
-    lexicographically least position set."""
-    m = len(points)
-    ys = [-p[1] if decreasing else p[1] for p in points]
+def _longest_monotone(values: List[int], decreasing: bool) -> List[int]:
+    """Indices of a longest increasing — or decreasing — subsequence of
+    ``values``, preferring the lexicographically least position set."""
+    m = len(values)
+    ys = [-v for v in values] if decreasing else values
     # best[i] = length of the longest run starting at i.  A run starting
     # at i is, read right to left with y negated, a strictly increasing
     # run ending there — so one patience pass over the reversed sequence
@@ -164,16 +169,17 @@ def _longest_monotone(points: List[Tuple[int, int, int]], decreasing: bool) -> L
 def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
     """Repeatedly strip a longest monotone subsequence (ties to
     increasing); never more than 2*ceil(sqrt(n)) classes."""
-    remaining = [(pt.x, pt.y, lab) for lab, pt in perm.pairs()]
-    remaining.sort()
+    word = perm.word
+    remaining = list(range(1, len(word) + 1))  # labels, in x-order
     classes = []
     while remaining:
-        inc = _longest_monotone(remaining, decreasing=False)
-        dec = _longest_monotone(remaining, decreasing=True)
+        ys = [word[l - 1] for l in remaining]
+        inc = _longest_monotone(ys, decreasing=False)
+        dec = _longest_monotone(ys, decreasing=True)
         take, direction = (inc, INCREASING) if len(inc) >= len(dec) else (dec, DECREASING)
         chosen = set(take)
-        classes.append((tuple(sorted(remaining[i][2] for i in take)), direction))
-        remaining = [p for i, p in enumerate(remaining) if i not in chosen]
+        classes.append((tuple(remaining[i] for i in take), direction))
+        remaining = [l for i, l in enumerate(remaining) if i not in chosen]
     return MonotonePartition(tuple(classes))
 
 
@@ -203,13 +209,12 @@ def monotone_decomposition(perm: Permutation, part: MonotonePartition,
     t = part.t
     if n <= 1:
         return MergeSequence([])
-    box: Dict[int, Box] = {lab: (pt.x, pt.x, pt.y, pt.y) for lab, pt in perm.pairs()}
+    box: Dict[int, Box] = {l: (l, l, y, y) for l, y in enumerate(perm.word, 1)}
     cls_of: Dict[int, int] = {}
     nxt: Dict[int, Optional[int]] = {}
     prv: Dict[int, Optional[int]] = {}
     heads: List[int] = []
-    for ci, (labels, _) in enumerate(part.classes):
-        order = sorted(labels, key=lambda s: perm.point(s).x)
+    for ci, (order, _) in enumerate(part.classes):
         heads.append(order[0])
         for idx, s in enumerate(order):
             cls_of[s] = ci
@@ -419,32 +424,27 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
     assigned class, or None.  Filters class direction mismatches first,
     then solves the per-pair staircase constraints by 2SAT."""
     t = part.t
-    labels = sorted(sigma.labels)
+    labels = range(1, len(sigma) + 1)  # in x-order
+    sw = sigma.word
     if set(assign) != set(labels):
         raise ValidationError("assignment must cover exactly the pattern labels")
     for s, c in assign.items():
         if not 1 <= c <= t:
             raise ValidationError("assignment sends label %d to class %d, outside 1..%d" % (s, c, t))
 
-    order: List[List[int]] = []
-    coords: List[Tuple[List[int], List[int]]] = []
-    for members, _ in part.classes:
-        srt = sorted(members, key=lambda s: pi.point(s).x)
-        order.append(srt)
-        coords.append(([pi.point(s).x for s in srt], [pi.point(s).y for s in srt]))
+    pw = pi.word
+    order = [members for members, _ in part.classes]
+    coords = [(members, [pw[s - 1] for s in members]) for members in order]
     dirs = [d for _, d in part.classes]
 
     sig_cls: Dict[int, List[int]] = {c: [] for c in range(1, t + 1)}
-    for s in sorted(labels, key=lambda s: sigma.xrank(s)):
+    for s in labels:
         sig_cls[assign[s]].append(s)
     for c in range(1, t + 1):
         mem = sig_cls[c]
         if len(mem) > len(order[c - 1]):
             return None  # more pattern labels than class members
-        ys = [sigma.yrank(s) for s in mem]
-        inc = all(p < q for p, q in zip(ys, ys[1:]))
-        dec = all(p > q for p, q in zip(ys, ys[1:]))
-        if len(mem) >= 2 and not (inc if dirs[c - 1] == INCREASING else dec):
+        if not _is_monotone([sw[s - 1] for s in mem], dirs[c - 1]):
             return None  # direction mismatch
 
     # threshold booleans: b[(s, v)]  <=>  "s lands at class position >= v"
@@ -462,9 +462,7 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
 
     for x, y in itertools.combinations(labels, 2):
         for alpha in (1, 2):
-            rx = sigma.xrank(x) if alpha == 1 else sigma.yrank(x)
-            ry = sigma.xrank(y) if alpha == 1 else sigma.yrank(y)
-            u, w = (x, y) if rx < ry else (y, x)
+            u, w = (x, y) if alpha == 1 or sw[x - 1] < sw[y - 1] else (y, x)
             ci, cj = assign[u] - 1, assign[w] - 1
             A = coords[ci][alpha - 1]
             B = coords[cj][alpha - 1]
@@ -502,14 +500,12 @@ def constraint_relations(sigma: Permutation, assign: PatternAssignment,
     """The raw binary constraints of the class-respecting embedding
     problem: (x, y, alpha, allowed image pairs), one per ordered pattern
     pair per axis.  Used to check median closure."""
-    labels = sorted(sigma.labels)
+    sw = sigma.word
     members = [list(c) for c, _ in part.classes]
-    for x, y in itertools.combinations(labels, 2):
+    for x, y in itertools.combinations(range(1, len(sigma) + 1), 2):
         for alpha in (1, 2):
-            rx = sigma.xrank(x) if alpha == 1 else sigma.yrank(x)
-            ry = sigma.xrank(y) if alpha == 1 else sigma.yrank(y)
-            u, w = (x, y) if rx < ry else (y, x)
-            rank = pi.xrank if alpha == 1 else pi.yrank
+            u, w = (x, y) if alpha == 1 or sw[x - 1] < sw[y - 1] else (y, x)
+            rank = _axis(pi, alpha)
             rel = tuple((uu, ww)
                         for uu in members[assign[u] - 1]
                         for ww in members[assign[w] - 1]
@@ -517,10 +513,17 @@ def constraint_relations(sigma: Permutation, assign: PatternAssignment,
             yield u, w, alpha, rel
 
 
+def _axis(pi: Permutation, alpha: int):
+    """Label -> coordinate along axis alpha (1: x, 2: y)."""
+    if alpha == 1:
+        return lambda l: l
+    word = pi.word
+    return lambda l: word[l - 1]
+
+
 def mid_point(pi: Permutation, alpha: int, a: int, b: int, c: int) -> int:
     """Median of three target labels along axis alpha."""
-    key = pi.xrank if alpha == 1 else pi.yrank
-    return sorted((a, b, c), key=key)[1]
+    return sorted((a, b, c), key=_axis(pi, alpha))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +537,8 @@ def t_monotone_match(sigma: Permutation, pi: Permutation,
     branches die early on class overflow or an already non-monotone
     restriction."""
     validate_monotone_partition(pi, part)
-    labels = sorted(sigma.labels)
-    ell = len(labels)
+    ell = len(sigma)
+    sw = sigma.word
     if ell < 1:
         raise ValidationError("pattern must be nonempty")
     if ell > len(pi):
@@ -547,19 +550,12 @@ def t_monotone_match(sigma: Permutation, pi: Permutation,
     counts = [0] * t
 
     def class_ok(c: int) -> bool:
-        mem = sorted((s for s in assign if assign[s] == c),
-                     key=lambda s: sigma.xrank(s))
-        ys = [sigma.yrank(s) for s in mem]
-        if len(ys) < 2:
-            return True
-        if dirs[c - 1] == INCREASING:
-            return all(p < q for p, q in zip(ys, ys[1:]))
-        return all(p > q for p, q in zip(ys, ys[1:]))
+        return _is_monotone([sw[s - 1] for s in sorted(assign) if assign[s] == c], dirs[c - 1])
 
     def dfs(idx: int) -> Optional[Embedding]:
         if idx == ell:
             return sigma_pi_embedding(sigma, dict(assign), pi, part)
-        s = labels[idx]
+        s = idx + 1
         for c in range(1, t + 1):
             if counts[c - 1] >= sizes[c - 1]:
                 continue

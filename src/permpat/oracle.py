@@ -38,34 +38,28 @@ def brute_force_match(pattern: Permutation, target: Permutation) -> Optional[Emb
     in ascending target-label order, so the first hit is the
     lexicographically least embedding vector.  Returns None if absent.
     """
-    slabels = list(pattern.labels)
-    tlabels = list(target.labels)
-    if len(slabels) > len(tlabels):
+    sw = pattern.word
+    tw = target.word
+    m = len(sw)
+    if m > len(tw):
         return None
-    if not slabels:
+    if not m:
         return {}
-    spts = [pattern.point(l) for l in slabels]
-    tpts = {l: target.point(l) for l in tlabels}
     chosen: List[int] = []
 
     def compatible(idx: int, cand: int) -> bool:
-        cp = tpts[cand]
-        sp = spts[idx]
+        # label idx + 1 lies right of every label chosen so far
         for prev_idx, prev in enumerate(chosen):
-            pp = tpts[prev]
-            qq = spts[prev_idx]
-            if (qq.x < sp.x) != (pp.x < cp.x):
-                return False
-            if (qq.y < sp.y) != (pp.y < cp.y):
+            if prev > cand or (sw[prev_idx] < sw[idx]) != (tw[prev - 1] < tw[cand - 1]):
                 return False
         return True
 
     used: Set[int] = set()
 
     def descend(idx: int) -> bool:
-        if idx == len(slabels):
+        if idx == m:
             return True
-        for cand in tlabels:
+        for cand in range(1, len(tw) + 1):
             if cand in used:
                 continue
             if compatible(idx, cand):
@@ -78,7 +72,7 @@ def brute_force_match(pattern: Permutation, target: Permutation) -> Optional[Emb
         return False
 
     if descend(0):
-        return {s: t for s, t in zip(slabels, chosen)}
+        return dict(enumerate(chosen, 1))
     return None
 
 
@@ -115,7 +109,7 @@ def exact_width(perm: Permutation) -> int:
                            % (n, EXACT_WIDTH_CAP))
     if n <= 1:
         return 1
-    word = perm.pattern()
+    word = perm.word
 
     # Pack each box into 16 bits: x1 x2 y1 y2, one nibble each (coords <= 9).
     start = tuple(sorted((x << 12) | (x << 8) | (y << 4) | y
@@ -161,15 +155,11 @@ def exact_width(perm: Permutation) -> int:
 def find_close_pair(perm: Permutation, d: int) -> Optional[Tuple[int, int]]:
     """First (by label pair, lexicographically) pair p < q with fewer than
     d points strictly between them in both the x- and the y-order."""
-    labels = perm.labels
-    n = len(labels)
-    for ai in range(n):
-        p = labels[ai]
-        for bi in range(ai + 1, n):
-            q = labels[bi]
-            g1 = abs(perm.xrank(p) - perm.xrank(q)) - 1
-            g2 = abs(perm.yrank(p) - perm.yrank(q)) - 1
-            if g1 < d and g2 < d:
+    word = perm.word
+    n = len(word)
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            if q - p - 1 < d and abs(word[p - 1] - word[q - 1]) - 1 < d:
                 return (p, q)
     return None
 
@@ -188,8 +178,6 @@ def check_tree_characterization(perm: Permutation, seq: MergeSequence, d: int) -
     if n > TREE_CHECK_CAP:
         raise SizeCapError("check_tree_characterization enumerates 2^n subsets; "
                            "%d points exceeds cap %d" % (n, TREE_CHECK_CAP))
-    if perm.labels != tuple(range(1, n + 1)):
-        raise ValidationError("merge sequences address original labels 1..n; reduce first")
     validate_merge_sequence(seq, n, require_complete=True)
     if n <= 1:
         return True
@@ -201,11 +189,8 @@ def check_tree_characterization(perm: Permutation, seq: MergeSequence, d: int) -
         internal.append((leafmask[i], leafmask[j]))
         leafmask[k] = leafmask[i] | leafmask[j]
 
-    xr = [0] * (n + 1)
-    yr = [0] * (n + 1)
-    for l in range(1, n + 1):
-        xr[l] = perm.xrank(l)
-        yr[l] = perm.yrank(l)
+    xr = list(range(n + 1))
+    yr = [0, *perm.word]
 
     for X in range(1, 1 << n):
         if X & (X - 1) == 0:
@@ -308,8 +293,10 @@ def is_separable(perm: Permutation) -> bool:
     n = len(perm)
     if n <= 1:
         return True
-    by_x = perm.by_x()
-    by_y = sorted(perm.labels, key=perm.yrank)
+    by_x = list(range(1, n + 1))
+    by_y = [0] * n
+    for l, y in enumerate(perm.word, 1):
+        by_y[y - 1] = l
     # doubly linked neighbor maps in each order
     nxt_x: Dict[int, Optional[int]] = {}
     prv_x: Dict[int, Optional[int]] = {}
@@ -322,7 +309,7 @@ def is_separable(perm: Permutation) -> bool:
         nxt[order[-1]] = None
         prv[order[0]] = None
 
-    alive: Set[int] = set(perm.labels)
+    alive: Set[int] = set(by_x)
     work: List[int] = list(by_x)
     remaining = n
     while work:

@@ -3,7 +3,7 @@
 import random
 from typing import List, Tuple
 
-from permpat import MergeSequence, MonotonePartition, Permutation, Point
+from permpat import MergeSequence, MonotonePartition, Permutation
 
 
 def random_t_monotone(n: int, t: int, rng: random.Random) -> Tuple[Permutation, MonotonePartition]:
@@ -26,7 +26,7 @@ def random_t_monotone(n: int, t: int, rng: random.Random) -> Tuple[Permutation, 
             ci = rng.choice([i for i in range(t) if pools[i]])
             points.append(pools[ci].pop(0))
             owners.append(ci)
-        perm = Permutation({i + 1: Point(i + 1, v) for i, v in enumerate(points)})
+        perm = Permutation(points)
         classes = []
         for ci in range(t):
             members = tuple(i + 1 for i in range(n) if owners[i] == ci)

@@ -60,7 +60,7 @@ def _conclude(num, label, t0, budget, problems):
 
 
 def _perm(vals):
-    return Permutation({i + 1: Point(i + 1, v) for i, v in enumerate(vals)})
+    return Permutation(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +128,24 @@ def test_builder_soundness_and_scaling():
         best = math.inf
         seq = None
         for _ in range(2):  # min of two runs damps scheduler noise
+            stats = {}
             t1 = time.perf_counter()
-            res = build_decomposition(pi, 2)
+            res = build_decomposition(pi, 2, stats=stats)
             best = min(best, time.perf_counter() - t1)
             seq = res.seq
         timings.append(best)
         if seq is None:
             problems.append("n=%d: builder returned a grid on a separable input" % n)
-        elif not verify_wide(pi, seq, 384):
+            continue
+        if not verify_wide(pi, seq, 384):
             problems.append("n=%d: sequence is not 384-wide" % n)
+        # the work is pinned, whatever the clock says: n - 1 merges, and the
+        # ceil(n / 384) lines per axis coarsen down to one
+        lines = -(-n // 384)
+        if len(seq) != n - 1 or not stats["coarsen_cols"] == stats["coarsen_rows"] == lines - 1:
+            problems.append("n=%d: %d merges, %d/%d coarsenings, want %d and %d"
+                            % (n, len(seq), stats["coarsen_cols"], stats["coarsen_rows"],
+                               n - 1, lines - 1))
     for a, b in zip(timings, timings[1:]):
         factor = b / a
         if factor > 3.0:
@@ -305,7 +314,7 @@ def test_median_closure_of_constraints():
         pi, part = random_t_monotone(n, t, rng)
         ell = rng.randint(2, 4)
         sigma = random_permutation(ell, rng.randrange(2 ** 30))
-        assign = {lab: rng.randint(1, t) for lab in sigma.labels}
+        assign = {lab: rng.randint(1, t) for lab in range(1, ell + 1)}
         for u, w, alpha, rel in constraint_relations(sigma, assign, pi, part):
             members = set(rel)
             for (a1, b1), (a2, b2), (a3, b3) in \

@@ -19,6 +19,7 @@ from permpat import (
     parse_permutation,
     parse_point_set,
     is_separable,
+    random_permutation,
     verify_embedding,
     verify_grid,
     verify_wide,
@@ -165,6 +166,17 @@ def test_grid_subcommand_dense_and_sparse(capsys):
         code, out, _ = run(capsys, "grid", "--points", "-", "--r", "2")
     finally:
         sys.stdin = old
+    assert (code, out.strip()) == (1, "NOT FOUND")
+
+
+def test_grid_subcommand_caps_the_exhaustive_search(capsys):
+    # too sparse for the linear-time finder and too large to search
+    # exhaustively: exit 2 at once instead of trying every cut choice
+    text = random_permutation(40, 1).one_line()
+    code, out, err = run(capsys, "grid", "-t", text, "--r", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "16" in err
+    code, out, _ = run(capsys, "grid", "-t", "1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16", "--r", "2")
     assert (code, out.strip()) == (1, "NOT FOUND")
 
 

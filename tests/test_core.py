@@ -24,7 +24,6 @@ from permpat import (
     random_permutation,
     random_separable,
     reduce,
-    restrict,
     substitute,
     validate_merge_sequence,
     verify_embedding,
@@ -34,9 +33,9 @@ from permpat import (
 
 def test_parse_one_line():
     perm = parse_permutation("3 1 4 2")
-    assert perm.labels == (1, 2, 3, 4)
-    assert perm.point(1) == Point(1, 3)
-    assert perm.point(4) == Point(4, 2)
+    assert perm.word == (3, 1, 4, 2)
+    assert perm == Permutation([3, 1, 4, 2])
+    assert perm.points == (Point(1, 3), Point(2, 1), Point(3, 4), Point(4, 2))
     assert perm.one_line() == "3 1 4 2"
 
 
@@ -64,18 +63,36 @@ def test_format_round_trip_property(values):
 
 
 def test_reduce_to_canonical_form():
-    perm = Permutation({10: Point(7, 30), 20: Point(2, 14), 30: Point(5, 9)})
-    red = reduce(perm.points)
+    red = reduce([Point(7, 30), Point(2, 14), Point(5, 9)])
     assert red.one_line() == "2 1 3"
+    for pts in ([(1, 1), (1, 2)], [(1, 1), (2, 1)]):
+        with pytest.raises(ValidationError):
+            reduce(pts)
 
 
-def test_restrict_keeps_labels_and_coordinates():
-    perm = parse_permutation("3 2 1 5 6 7 4")
-    sub = restrict(perm, {1, 4, 7})
-    assert sorted(sub.labels) == [1, 4, 7]
-    assert sub.point(4) == perm.point(4)
-    with pytest.raises(ValidationError):
-        restrict(perm, {99})
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n, unique=True),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n, unique=True),
+    st.randoms(use_true_random=False))))
+def test_reduce_reads_the_word_in_x_order(case):
+    # word placed on spread coordinates, in any order: reduce gives it back
+    word, xs, ys, rng = case
+    xs, ys = sorted(xs), sorted(ys)
+    pts = [Point(x, ys[v - 1]) for x, v in zip(xs, word)]
+    rng.shuffle(pts)
+    perm = reduce(pts)
+    assert perm.word == tuple(word)
+    assert reduce(perm.points) == perm
+
+
+def test_permutation_rejects_words_that_are_not_permutations():
+    assert Permutation([2, 3, 1]).word == (2, 3, 1)
+    assert len(Permutation([])) == 0
+    for word in ([0, 1, 2], [1, 2, 4], [1, 2, 2], [1, 2.0, 3], [1, "2", 3], [True]):
+        with pytest.raises(ValidationError):
+            Permutation(word)
 
 
 def test_verify_embedding_accepts_and_rejects():
@@ -107,7 +124,7 @@ def test_canonical_grid_placement_formula():
     for i in range(1, s + 1):
         for j in range(1, r + 1):
             x = (j - 1) * s + (s - i + 1)
-            assert perm.point(x) == Point(x, (i - 1) * r + j)
+            assert perm.word[x - 1] == (i - 1) * r + j
 
 
 def test_canonical_grid_carries_its_own_gridding():
@@ -185,6 +202,13 @@ def test_verify_grid_canonical_and_negative():
     cells = PointSet(4, 4, perm.points)
     assert verify_grid(cells, w, 2)
     assert not verify_grid(cells, off, 2)
+    # a permutation answers by one word lookup: a witness outside 1..n or
+    # at another height is no point of it (x = 0 must not read word[-1])
+    # (each stray witness lies inside its cell)
+    for bottom in ([Point(0, 2), Point(4, 2)], [Point(2, 1), Point(5, 1)],
+                   [Point(2, 1), Point(4, 1)]):
+        stray = GridWitness([2], [2], [bottom, [Point(1, 3), Point(3, 4)]])
+        assert not verify_grid(perm, stray, 2)
 
 
 @settings(max_examples=40, deadline=None)

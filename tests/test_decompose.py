@@ -25,6 +25,7 @@ from permpat import (
     parse_permutation,
     random_permutation,
     random_separable,
+    reduce,
     validate_merge_sequence,
     verify_wide,
     width_of_decomposition,
@@ -157,18 +158,20 @@ def test_width_replay_rejects_foreign_sequence():
 def test_width_replay_agrees_with_a_naive_count(word, kind, rng):
     n = len(word)
     if kind == "spread":
-        # labels 1..n in a random x-order, on gapped coordinates
+        # the points in a random order, on gapped coordinates; label l of
+        # the reduced permutation is the point with the l-th smallest x
         xs = sorted(rng.sample(range(1, 10 * n + 1), n))
         ys = sorted(rng.sample(range(1, 10 * n + 1), n))
-        labels = rng.sample(range(1, n + 1), n)
-        perm = Permutation({l: Point(xs[i], ys[word[i] - 1]) for i, l in enumerate(labels)})
+        pts = [Point(x, ys[v - 1]) for x, v in zip(xs, word)]
+        perm = reduce(rng.sample(pts, n))
     else:
-        perm = Permutation({i: Point(i, v) for i, v in enumerate(word, 1)})
+        perm = Permutation(word)
+        pts = perm.points
     seq = random_merge_sequence(n, rng)
     if kind == "partial":
         seq = MergeSequence(list(seq)[:rng.randint(0, len(seq))])
     # every step's new box against every other live box, in plane coordinates
-    box = {l: (p.x, p.x, p.y, p.y) for l, p in perm.pairs()}
+    box = {l: (p.x, p.x, p.y, p.y) for l, p in enumerate(pts, 1)}
     want = []
     for i, j, k in seq:
         a, b = box.pop(i), box.pop(j)

@@ -28,7 +28,6 @@ from permpat import (
     parse_permutation,
     random_permutation,
     random_separable,
-    restrict,
     verify_embedding,
     width_of_decomposition,
 )
@@ -119,9 +118,6 @@ def test_find_pattern_worked_example():
 
 def test_find_pattern_requires_canonical_target_and_complete_sequence():
     pi = parse_permutation("2 1 3")
-    seq = build_decomposition(pi, 2).seq
-    with pytest.raises(ValidationError):
-        find_pattern(parse_permutation("1"), restrict(pi, {1, 3}), seq)
     with pytest.raises(ValidationError):
         find_pattern(parse_permutation("1"), pi, parse_merge_sequence("1 2 4"))
 
@@ -194,11 +190,8 @@ def test_witness_checks_survive_optimized_mode():
             m.build_decomposition = lambda perm, r: DecompositionResult(None, witness, None)
             return match_auto(sigma, target)
 
-        # fail only on the targets passed in here: match_auto hands the DP a
-        # reduced copy, whose check passes, so its own final check must raise
-        real = m.verify_embedding
-        m.verify_embedding = lambda sigma, target, emb: (
-            target is not pi and target is not grid and real(sigma, target, emb))
+        # the sequence exit returns the DP's embedding, checked by the DP
+        m.verify_embedding = lambda sigma, target, emb: False
         mono.verify_embedding = lambda sigma, target, emb: False
         # dense enough for find_grid at r = 2: 40200 > f(2) * (200 + 201 - 2).
         # Its wide-block check sees the transpose (p = 201), and the check of
@@ -261,13 +254,6 @@ def test_match_auto_agrees_with_brute_force_on_random_instances():
         assert (got is None) == (want is None)
         if got is not None:
             assert verify_embedding(sigma, pi, got)
-
-
-def test_match_auto_accepts_non_canonical_targets():
-    pi = parse_permutation("3 2 1 5 6 7 4")
-    sub = restrict(pi, {2, 4, 6, 7})
-    emb = match_auto(parse_permutation("1 2"), sub)
-    assert emb is not None and verify_embedding(parse_permutation("1 2"), sub, emb)
 
 
 def test_match_auto_through_the_grid_branch():

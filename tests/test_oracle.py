@@ -18,7 +18,7 @@ from permpat import (
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
-    restrict,
+    reduce,
     substitute,
     verify_embedding,
     verify_grid,
@@ -31,7 +31,7 @@ def test_brute_force_match_examples():
     emb = brute_force_match(parse_permutation("1 3 2"), pi)
     assert emb is not None and verify_embedding(parse_permutation("1 3 2"), pi, emb)
     assert brute_force_match(parse_permutation("4 3 2 1"), pi) is None
-    assert brute_force_match(pi, pi) == {l: l for l in pi.labels}
+    assert brute_force_match(pi, pi) == {l: l for l in range(1, len(pi) + 1)}
 
 
 def test_brute_force_match_is_lexicographically_least():
@@ -117,8 +117,8 @@ def test_subwidth_monotone_under_deletion_sampled():
         n = rng.randint(2, 7)
         perm = random_permutation(n, rng.randrange(1 << 30))
         w = exact_width(perm)
-        for lab in perm.labels:
-            sub = restrict(perm, set(perm.labels) - {lab})
+        for lab in range(1, n + 1):
+            sub = reduce(p for p in perm.points if p.x != lab)
             assert exact_width(sub) <= w
 
 
