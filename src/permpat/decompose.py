@@ -12,6 +12,14 @@ grid finder and the permutation contains the canonical r x r grid pattern.
 it builds at d = 4 f(r) and answers a stall with the grid witness; given
 an explicit budget d it answers a stall with the occupied cells.
 
+The DP's cost grows steeply with the width the builder realizes, and
+4 f(r) is often n or more, where the builder sweeps the points left to
+right at a width near n.  ``_stall_free_budget(n)`` is the least budget
+d0 ≈ √(2n) at which no build can stall.  When d0 ≤ 4 f(r), the paper
+build cannot stall either, so ``match_auto`` builds at d0 instead and
+gets a complete sequence of width at most d0.  It loses no grid exit,
+because only a stall leads to one.
+
 ``verify_wide`` / ``width_of_decomposition`` replay a sequence with two
 Fenwick trees per axis, counting the live rectangles' low and high
 endpoints.  A merged rectangle keeps one child's endpoint on each side, so
@@ -22,6 +30,7 @@ regardless of how wide the rectangles get.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
@@ -376,6 +385,29 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
         if validate:
             _check_invariants(state)
     return True
+
+
+def _stall_free_budget(n: int) -> int:
+    """Least budget d >= 1 with d >= 2 ceil(n / d); no build of an
+    n-point permutation at such a d stalls.
+
+    Proof.  At a stall at least two rectangles remain and every occupied
+    cell holds exactly one, so some axis has two or more lines.  A line's
+    size is then the number of its occupied cells, at most the number of
+    lines on the other axis, and that is at most the initial ceil(n / d)
+    because lines only ever merge.  Two consecutive lines together hold
+    more than d rectangles (checked by ``_check_invariants``), so a stall
+    needs d < 2 ceil(n / d).
+
+    d - 2 ceil(n / d) strictly increases with d, so every budget from the
+    returned one up cannot stall, and the returned one is at most the
+    budget D exactly when D >= 2 ceil(n / D).  It is at least sqrt(2n),
+    since ceil(n / d) >= n / d, and below 2 + sqrt(2n + 1), since
+    ceil(n / d) < n / d + 1: the loop runs at most three times."""
+    d = max(1, math.isqrt(2 * n))
+    while d < 2 * -(-n // d):
+        d += 1
+    return d
 
 
 def _dense_cells(state: _State, perm: Permutation):

@@ -45,7 +45,8 @@ from .core import (
     validate_merge_sequence,
     verify_embedding,
 )
-from .decompose import build_decomposition
+from .decompose import _stall_free_budget, build_decomposition
+from .griddetect import f_bound
 
 Box = Tuple[int, int, int, int]  # x1, x2, y1, y2
 
@@ -394,11 +395,14 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
 # ---------------------------------------------------------------------------
 
 def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
-    """Decide sigma ≼ pi outright: build a decomposition of pi with
-    r = |sigma|.  A grid outcome is immediately affirmative — an l x l
-    grid contains every pattern of length l, witnessed by picking, for
-    the pattern's i-th position, the point in grid cell (i, value).  A
-    merge-sequence outcome delegates to find_pattern."""
+    """Decide sigma ≼ pi outright.  When the paper budget 4 f(l), l =
+    |sigma|, cannot stall on pi, neither can the smaller budget
+    d0 ≈ √(2n) of ``_stall_free_budget``: build at d0 and run find_pattern
+    on the narrower sequence.  Otherwise build with r = l.  A grid
+    outcome is immediately affirmative — an l x l grid contains every
+    pattern of length l, witnessed by picking, for the pattern's i-th
+    position, the point in grid cell (i, value).  A merge-sequence
+    outcome delegates to find_pattern."""
     ell = len(sigma)
     n = len(pi)
     if ell < 1:
@@ -410,6 +414,12 @@ def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
         if not verify_embedding(sigma, pi, emb):
             raise AssertionError("internal: single-label embedding failed")
         return emb
+    d0 = _stall_free_budget(n)
+    if d0 <= 4 * f_bound(ell):
+        res = build_decomposition(pi, d=d0)
+        if res.cells is not None:
+            raise AssertionError("internal: build at the stall-free budget %d stalled" % d0)
+        return find_pattern(sigma, pi, res.seq)
     res = build_decomposition(pi, ell)
     if res.grid is None:
         return find_pattern(sigma, pi, res.seq)

@@ -30,7 +30,7 @@ from permpat import (
     verify_wide,
     width_of_decomposition,
 )
-from permpat.decompose import _replay_views
+from permpat.decompose import _replay_views, _stall_free_budget
 
 
 def test_canonical_grid_decomposition_2x2_frozen_steps():
@@ -133,6 +133,37 @@ def test_budget_variant_dense_branch_returns_heavy_cells():
     assert 4 * len(out) > 2 * (out.p + out.q - 2)
     again = build_decomposition(perm, d=2).cells
     assert out == again
+
+
+def test_stall_free_budget_is_the_least_budget_past_the_stall_bound():
+    for n in range(1, 5001):
+        d = 1
+        while d < 2 * -(-n // d):
+            d += 1
+        assert _stall_free_budget(n) == d, n
+
+
+STALL_FREE_CASES = {
+    **{"uniform %d" % n: random_permutation(n, n) for n in (1, 2, 17, 300, 2000)},
+    **{"separable %d" % n: random_separable(n, n) for n in (2, 17, 300, 2000)},
+    **{"grid %dx%d" % rs: canonical_grid(*rs) for rs in
+       ((1, 7), (7, 1), (4, 4), (8, 8), (3, 6), (8, 250), (250, 8), (45, 45))},
+}
+
+
+@pytest.mark.parametrize("perm", STALL_FREE_CASES.values(), ids=STALL_FREE_CASES.keys())
+def test_builds_at_the_stall_free_budget_complete(perm):
+    d = _stall_free_budget(len(perm))
+    res = build_decomposition(perm, d=d, validate=True)
+    assert res.seq is not None and res.width_bound == d
+    assert verify_wide(perm, res.seq, d)
+
+
+def test_stall_free_budget_is_tight_on_square_grids():
+    # one budget below it, the square canonical grids stall
+    for r in (4, 8, 45):
+        perm = canonical_grid(r, r)
+        assert build_decomposition(perm, d=_stall_free_budget(r * r) - 1).cells is not None
 
 
 def test_builder_output_beats_exhaustive_width_bound_never():

@@ -2,7 +2,6 @@
 
 import os
 import pathlib
-import random
 import subprocess
 import sys
 import textwrap
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 import permpat
 from helpers import random_merge_sequence
 from permpat import (
+    Permutation,
     ValidationError,
     VisibilityGraph,
     brute_force_match,
@@ -182,6 +182,9 @@ def test_witness_checks_survive_optimized_mode():
 
         grid = canonical_grid(2, 2)
         witness = brute_force_grid(grid, 2)
+        # past n = 73728 a 2-pattern builds from r = 2, not at the smaller
+        # stall-free budget, so the stubbed build below is reached
+        big = canonical_grid(272, 272)
         p12, p21 = parse_permutation("1 2"), parse_permutation("2 1")
         pi = parse_permutation("2 3 1")
         seq = build_decomposition(pi, 2).seq
@@ -218,7 +221,7 @@ def test_witness_checks_survive_optimized_mode():
         for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
                            ("single", lambda: match_auto(parse_permutation("1"), pi)),
                            ("sequence", lambda: match_auto(p12, pi)),
-                           ("grid", lambda: grid_exit(p21, grid)),
+                           ("grid", lambda: grid_exit(p21, big)),
                            ("poly_space_match", lambda: poly_space_match(p12, pi)),
                            ("find_grid", lambda: grid_check({200, 201})),
                            ("find_grid transposed", lambda: grid_check({200})),
@@ -242,18 +245,45 @@ def test_witness_checks_survive_optimized_mode():
         "builder invariants raised", "monotone_decomposition raised"]
 
 
-def test_match_auto_agrees_with_brute_force_on_random_instances():
-    rng = random.Random(41)
-    for _ in range(80):
-        n = rng.randint(1, 10)
-        ell = rng.randint(1, 4)
-        pi = random_permutation(n, rng.randrange(1 << 30))
-        sigma = random_permutation(ell, rng.randrange(1 << 30))
-        got = match_auto(sigma, pi)
-        want = brute_force_match(sigma, pi)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert verify_embedding(sigma, pi, got)
+TARGETS = st.one_of(
+    st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).map(Permutation),
+    st.builds(random_separable, st.integers(1, 12), st.integers(0, 1 << 30)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda rs: rs[0] * rs[1] <= 12)
+    .map(lambda rs: canonical_grid(*rs)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TARGETS, st.integers(1, 4).flatmap(lambda ell: st.permutations(range(1, ell + 1))))
+def test_match_auto_agrees_with_brute_force_on_random_instances(pi, pattern):
+    sigma = Permutation(pattern)
+    got = match_auto(sigma, pi)
+    assert (got is None) == (brute_force_match(sigma, pi) is None)
+    if got is not None:
+        assert verify_embedding(sigma, pi, got)
+
+
+class _Spied(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, args, kwargs", [
+    (73728, (), {"d": 384}),  # d0(73728) = 384 = 4 f(2): cannot stall
+    (73729, (2,), {}),  # d0(73729) = 385: the paper build may stall
+])
+def test_match_auto_builds_at_the_stall_free_budget_only_below_the_paper_one(
+        monkeypatch, n, args, kwargs):
+    calls = []
+
+    def spy(*a, **kw):
+        calls.append((a, kw))
+        raise _Spied
+
+    monkeypatch.setattr(permpat.matcher, "build_decomposition", spy)
+    pi = Permutation(range(1, n + 1))
+    with pytest.raises(_Spied):
+        match_auto(parse_permutation("1 2"), pi)
+    assert calls == [((pi, *args), kwargs)]
 
 
 def test_match_auto_through_the_grid_branch():

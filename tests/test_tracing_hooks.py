@@ -7,7 +7,8 @@ import pathlib
 
 import pytest
 
-from permpat import build_decomposition, find_pattern, parse_permutation
+from permpat import (build_decomposition, canonical_grid, find_pattern, match_auto,
+                     parse_permutation, random_permutation, random_separable)
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -40,3 +41,24 @@ def test_stats_hooks_accept_a_stats_dict(tracing):
     find_pattern(parse_permutation("2 1 3"), pi, seq, stats=dp_stats)
     assert {"coarsen_cols", "coarsen_rows"} <= set(build_stats)
     assert {"entries", "max_components"} <= set(dp_stats)
+
+
+def test_traced_match_auto_counts_every_build(tracing):
+    # the benchmark's small-DP query shapes, which build from an explicit
+    # budget, and one target that stalls the paper build into the grid exit
+    small = []
+    for seed in range(4):
+        small += [(random_permutation(3, seed), random_permutation(18, seed)),
+                  (random_permutation(3, seed + 4), random_separable(16, seed)),
+                  (random_permutation(4, seed), random_permutation(10, seed))]
+    grid = [(parse_permutation("2 1"), canonical_grid(500, 500))]
+    for queries, grid_exits in ((small, 0), (grid, 1)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for sigma, pi in queries:
+                match_auto(sigma, pi)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["builds"] == len(queries)
+        assert tracer.counts["grid_exits"] == grid_exits
