@@ -111,8 +111,13 @@ class MergeSequence:
         object.__setattr__(self, "steps", norm)
 
     @classmethod
-    def _of_steps(cls, steps: Iterable[MergeStep]) -> "MergeSequence":
-        """Wrap MergeSteps of ints, such as the builder's, without rebuilding each."""
+    def _of_steps(cls, steps: List[Tuple[int, int, int]]) -> "MergeSequence":
+        """Wrap the builder's list of (i, j, k) int tuples without checking
+        them.  The list is turned into MergeSteps in place, so no second
+        copy of the steps is ever held."""
+        new = tuple.__new__
+        for p, step in enumerate(steps):
+            steps[p] = new(MergeStep, step)
         seq = object.__new__(cls)
         object.__setattr__(seq, "steps", tuple(steps))
         return seq
@@ -439,7 +444,9 @@ def verify_grid(target, w: GridWitness, r: int) -> bool:
         def present(p: Point) -> bool:
             return 1 <= p.x <= n and word[p.x - 1] == p.y
     else:
-        present = set(target.points).__contains__
+        # one pass over the points for the r^2 witnesses, no set of them all
+        wanted = {p for row in w.witnesses for p in row}
+        present = wanted.intersection(target.points).__contains__
     cc = (None,) + w.col_cuts + (None,)
     rc = (None,) + w.row_cuts + (None,)
     for j in range(r):

@@ -38,7 +38,6 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple
 from .core import (
     GridWitness,
     MergeSequence,
-    MergeStep,
     Permutation,
     Point,
     ValidationError,
@@ -53,8 +52,8 @@ class DecompositionResult:
     """Outcome of build_decomposition: exactly one of ``seq`` (a complete
     merge sequence, d-wide for ``width_bound`` = d), ``grid`` (an r x r
     grid witness in the permutation's coordinates, for a build
-    from r) or ``cells`` (the stalled gridding's occupied cells, for a
-    build from an explicit budget d)."""
+    from r) or ``cells`` (the stalled gridding's occupied cells as sorted
+    (column, row) int pairs, for a build from an explicit budget d)."""
 
     seq: Optional[MergeSequence]
     grid: Optional[GridWitness]
@@ -160,147 +159,148 @@ def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[T
 # the builder
 # ---------------------------------------------------------------------------
 
-class _Cell:
-    __slots__ = ("col", "row", "rects", "stamp")
+class _Axis:
+    """The columns or the rows of the gridding.  Lines are int indices
+    into flat lists: size (rectangle count), span lo..hi of coordinates,
+    neighbor links prv/nxt (-1: none) and cells, a dict per line keyed by
+    the crossing line's index.  A cell holding one rectangle is that
+    rectangle's index; a larger cell is the list [col, row, rect, rect,
+    ...], the same object in both lines' dicts.  Nothing here refers
+    back to anything, so a build's state is freed by reference counting
+    as soon as the build returns."""
 
-    def __init__(self, col: "_Line", row: "_Line"):
-        self.col = col
-        self.row = row
-        self.rects: List[int] = []
-        self.stamp = 0  # of the cell's live entry in _State.large; 0: none
+    __slots__ = ("size", "lo", "hi", "prv", "nxt", "cells", "head")
 
-
-class _Line:
-    """A gridding column or row: its size (rectangle count), span of
-    coordinates, cells keyed by the crossing line, and neighbor links."""
-
-    __slots__ = ("size", "lo", "hi", "cells", "prv", "nxt")
-
-    def __init__(self) -> None:
-        self.size = 0
-        self.lo = 0
-        self.hi = 0
-        self.cells: Dict["_Line", _Cell] = {}
-        self.prv: Optional["_Line"] = None
-        self.nxt: Optional["_Line"] = None
+    def __init__(self, n: int, d: int):
+        # line c holds the points of coordinates c*d+1 .. (c+1)*d
+        m = (n + d - 1) // d
+        self.lo = list(range(1, n + 1, d))
+        self.hi = [min(lo + d - 1, n) for lo in self.lo]
+        self.size = [hi - lo + 1 for lo, hi in zip(self.lo, self.hi)]
+        self.prv = list(range(-1, m - 1))
+        self.nxt = list(range(1, m + 1))
+        if m:
+            self.nxt[-1] = -1
+        self.cells: List[Optional[Dict[int, object]]] = [{} for _ in range(m)]
+        self.head = 0 if m else -1
 
 
 class _State:
-    __slots__ = ("n", "d", "total", "cols_head", "rows_head", "large",
-                 "stamps", "rep", "steps", "validate", "boxes")
+    __slots__ = ("n", "d", "total", "cols", "rows", "large", "rep", "steps",
+                 "validate", "boxes")
 
     def __init__(self, n: int, d: int, validate: bool):
         self.n = n
         self.d = d
         self.total = n
-        self.cols_head: Optional[_Line] = None
-        self.rows_head: Optional[_Line] = None
-        # cells holding two or more rectangles, as (stamp, cell) in the
-        # order they became large; an entry whose stamp is not its cell's
-        # current one is stale and skipped when it reaches the front
-        self.large: Deque[Tuple[int, _Cell]] = deque()
-        self.stamps = 0
+        self.cols = _Axis(n, d)
+        self.rows = _Axis(n, d)
+        # cells holding two or more rectangles, in the order they became
+        # large.  Merges take the front cell, which leaves when one
+        # rectangle is left; a cell absorbed into another is cleared, and
+        # its entry skipped when it reaches the front
+        self.large: Deque[List[int]] = deque()
         self.rep: List[int] = list(range(n + 1))  # min original label per index
-        self.steps: List[MergeStep] = []
+        self.steps: List[Tuple[int, int, int]] = []
         self.validate = validate
         self.boxes: Dict[int, Tuple[int, int, int, int]] = {}
 
 
-def _lines(head: Optional[_Line]) -> List[_Line]:
+def _lines(axis: _Axis) -> List[int]:
     out = []
-    while head is not None:
-        out.append(head)
-        head = head.nxt
+    line = axis.head
+    nxt = axis.nxt
+    while line >= 0:
+        out.append(line)
+        line = nxt[line]
     return out
 
 
 def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
     n = len(perm)
     state = _State(n, d, validate)
-    if n == 0:
-        return state
-    p = (n + d - 1) // d
-    q = p
-    cols = [_Line() for _ in range(p)]
-    rows = [_Line() for _ in range(q)]
-    for lines in (cols, rows):
-        for a, b in zip(lines, lines[1:]):
-            a.nxt = b
-            b.prv = a
-    state.cols_head = cols[0]
-    state.rows_head = rows[0]
-
-    # line c holds the points of coordinates c*d+1 .. (c+1)*d on its axis
-    for lines in (cols, rows):
-        for c, line in enumerate(lines):
-            line.lo = c * d + 1
-            line.hi = min(c * d + d, n)
-            line.size = line.hi - c * d
+    ccells = state.cols.cells
+    rcells = state.rows.cells
+    large = state.large
     word = perm.word
-    for label, y in enumerate(word, 1):
-        col = cols[(label - 1) // d]
-        row = rows[(y - 1) // d]
-        cell = col.cells.get(row)
-        if cell is None:
-            cell = _Cell(col, row)
-            col.cells[row] = cell
-            row.cells[col] = cell
-        cell.rects.append(label)
-        if len(cell.rects) == 2:
-            _mark_large(state, cell)
+    for c, cc in enumerate(ccells):
+        label = c * d
+        for y in word[label:label + d]:
+            label += 1
+            w = (y - 1) // d
+            cell = cc.get(w)
+            if cell is None:
+                cc[w] = label
+                rcells[w][c] = label
+            elif cell.__class__ is int:
+                cell = [c, w, cell, label]
+                cc[w] = cell
+                rcells[w][c] = cell
+                large.append(cell)
+            else:
+                cell.append(label)
     if validate:
         state.boxes = {l: (l, l, y, y) for l, y in enumerate(word, 1)}
     return state
 
 
-def _mark_large(state: _State, cell: _Cell) -> None:
-    state.stamps += 1
-    cell.stamp = state.stamps
-    state.large.append((state.stamps, cell))
-
-
-def _absorb_line(state: _State, a: _Line, b: _Line, axis: int) -> None:
-    """Merge line b into a (cells at shared crossings concatenate with a's
-    rectangles first); unlink b."""
-    for other, cb in list(b.cells.items()):
-        ca = a.cells.get(other)
+def _absorb_line(state: _State, axis: _Axis, other: _Axis, a: int, b: int, pos: int) -> None:
+    """Merge line b of axis into line a (cells at shared crossings
+    concatenate with a's rectangles first); unlink b.  ``pos`` is the
+    axis's slot in a large cell's [col, row] head: 0 for columns."""
+    acells = axis.cells[a]
+    ocells = other.cells
+    for o, cb in axis.cells[b].items():
+        oc = ocells[o]
+        ca = acells.get(o)
         if ca is None:
-            if axis == 1:
-                cb.col = a
+            if cb.__class__ is list:
+                cb[pos] = a
+            acells[o] = cb
+            oc[a] = cb
+        elif ca.__class__ is list:
+            if cb.__class__ is list:
+                ca += cb[2:]
+                cb.clear()
             else:
-                cb.row = a
-            a.cells[other] = cb
-            other.cells[a] = cb
+                ca.append(cb)
         else:
-            ca.rects.extend(cb.rects)
-            cb.stamp = 0
-            if len(ca.rects) >= 2 and not ca.stamp:
-                _mark_large(state, ca)
-        del other.cells[b]
-    a.size += b.size
-    if b.lo < a.lo:
-        a.lo = b.lo
-    if b.hi > a.hi:
-        a.hi = b.hi
-    if b.prv is not None:
-        b.prv.nxt = b.nxt
+            cell = [a, o, ca] if pos == 0 else [o, a, ca]
+            if cb.__class__ is list:
+                cell += cb[2:]
+                cb.clear()
+            else:
+                cell.append(cb)
+            acells[o] = cell
+            oc[a] = cell
+            state.large.append(cell)
+        del oc[b]
+    axis.cells[b] = None
+    size, lo, hi, prv, nxt = axis.size, axis.lo, axis.hi, axis.prv, axis.nxt
+    size[a] += size[b]
+    if lo[b] < lo[a]:
+        lo[a] = lo[b]
+    if hi[b] > hi[a]:
+        hi[a] = hi[b]
+    p, q = prv[b], nxt[b]
+    if p >= 0:
+        nxt[p] = q
     else:
-        if axis == 1:
-            state.cols_head = b.nxt
-        else:
-            state.rows_head = b.nxt
-    if b.nxt is not None:
-        b.nxt.prv = b.prv
+        axis.head = q
+    if q >= 0:
+        prv[q] = p
 
 
-def _maybe_coarsen(state: _State, line: _Line, axis: int, stats: Optional[dict]) -> None:
+def _maybe_coarsen(state: _State, axis: _Axis, other: _Axis, line: int, pos: int,
+                   stats: Optional[dict]) -> None:
     # check the smaller-coordinate neighbor first; at most one merge per
     # axis per step (merging one side pushes the other back over budget)
-    for nb in (line.prv, line.nxt):
-        if nb is not None and line.size + nb.size <= state.d:
-            _absorb_line(state, line, nb, axis)
+    size = axis.size
+    for nb in (axis.prv[line], axis.nxt[line]):
+        if nb >= 0 and size[line] + size[nb] <= state.d:
+            _absorb_line(state, axis, other, line, nb, pos)
             if stats is not None:
-                stats["coarsen_cols" if axis == 1 else "coarsen_rows"] += 1
+                stats["coarsen_rows" if pos else "coarsen_cols"] += 1
             return
 
 
@@ -309,39 +309,52 @@ def _check_invariants(state: _State) -> None:
     cell's span, line sizes within budget, consecutive lines over budget,
     large-cell bookkeeping exact.  Raises AssertionError, also under -O."""
     d = state.d
-    cols = _lines(state.cols_head)
-    rows = _lines(state.rows_head)
+    cols, rows = state.cols, state.rows
     seen: Dict[int, bool] = {}
-    large = {cell for stamp, cell in state.large if stamp == cell.stamp}
-    for lines in (cols, rows):
+    large = {id(cell) for cell in state.large if cell}
+    for axis in (cols, rows):
+        lines = _lines(axis)
         for ln in lines:
-            if not 1 <= ln.size <= d:
-                raise AssertionError("line size %d outside 1..%d" % (ln.size, d))
-            if sum(len(c.rects) for c in ln.cells.values()) != ln.size:
+            if not 1 <= axis.size[ln] <= d:
+                raise AssertionError("line size %d outside 1..%d" % (axis.size[ln], d))
+            count = sum(len(c) - 2 if c.__class__ is list else 1
+                        for c in axis.cells[ln].values())
+            if count != axis.size[ln]:
                 raise AssertionError("line size differs from its cells' rectangle count")
         for a, b in zip(lines, lines[1:]):
-            if a.size + b.size <= d:
+            if axis.size[a] + axis.size[b] <= d:
                 raise AssertionError("consecutive lines fit the budget but were not merged")
-            if a.hi >= b.lo:
+            if axis.hi[a] >= axis.lo[b]:
                 raise AssertionError("line spans out of order")
-    for col in cols:
-        for row, cell in col.cells.items():
-            if cell.col is not col or cell.row is not row:
+    cells = 0
+    for col in _lines(cols):
+        for row, cell in cols.cells[col].items():
+            cells += 1
+            if rows.cells[row].get(col) is not cell:
                 raise AssertionError("cell linked to the wrong lines")
-            if not cell.rects:
-                raise AssertionError("empty cell kept alive")
-            if (cell in large) != (len(cell.rects) >= 2):
-                raise AssertionError("large-cell set stale")
-            large.discard(cell)
-            for idx in cell.rects:
+            if cell.__class__ is list:
+                if cell[:2] != [col, row]:
+                    raise AssertionError("cell linked to the wrong lines")
+                if len(cell) < 4:
+                    raise AssertionError("large cell holds fewer than two rectangles")
+                if id(cell) not in large:
+                    raise AssertionError("large-cell queue stale")
+                large.discard(id(cell))
+                rects = cell[2:]
+            else:
+                rects = [cell]
+            for idx in rects:
                 if idx in seen:
                     raise AssertionError("rectangle in two cells")
                 seen[idx] = True
                 x1, x2, y1, y2 = state.boxes[idx]
-                if not (col.lo <= x1 and x2 <= col.hi and row.lo <= y1 and y2 <= row.hi):
+                if not (cols.lo[col] <= x1 and x2 <= cols.hi[col]
+                        and rows.lo[row] <= y1 and y2 <= rows.hi[row]):
                     raise AssertionError("rectangle escapes its cell")
+    if sum(len(rows.cells[row]) for row in _lines(rows)) != cells:
+        raise AssertionError("row and column cells differ")
     if large:
-        raise AssertionError("large-cell set holds a cell off the grid")
+        raise AssertionError("large-cell queue holds a cell off the grid")
     if len(seen) != state.total:
         raise AssertionError("%d rectangles in cells, %d alive" % (len(seen), state.total))
 
@@ -350,38 +363,43 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
     """Run merges until one rectangle remains (True) or no cell holds two
     rectangles while several remain (False: dense)."""
     large = state.large
-    n = state.n
+    k = state.n
     steps = state.steps
     rep = state.rep
     validate = state.validate
+    cols, rows = state.cols, state.rows
+    csize, rsize = cols.size, rows.size
+    ccells, rcells = cols.cells, rows.cells
     while state.total > 1:
-        while large and large[0][0] != large[0][1].stamp:
+        while large and not large[0]:
             large.popleft()
         if not large:
             return False
-        cell = large[0][1]
-        rects = cell.rects
-        i = rects[0]
-        j = rects[1]
-        k = n + len(steps) + 1
-        steps.append(MergeStep(i, j, k))
-        rects[0:2] = [k]
+        cell = large[0]
+        c = cell[0]
+        w = cell[1]
+        i = cell[2]
+        j = cell[3]
+        k += 1
+        steps.append((i, j, k))
         rep.append(rep[i] if rep[i] < rep[j] else rep[j])
         state.total -= 1
-        if len(rects) < 2:
-            cell.stamp = 0
+        if len(cell) == 4:
             large.popleft()
-        col = cell.col
-        row = cell.row
-        col.size -= 1
-        row.size -= 1
+            ccells[c][w] = k
+            rcells[w][c] = k
+        else:
+            del cell[3]
+            cell[2] = k
+        csize[c] -= 1
+        rsize[w] -= 1
         if validate:
             a = state.boxes[i]
             b = state.boxes[j]
             state.boxes[k] = (min(a[0], b[0]), max(a[1], b[1]),
                               min(a[2], b[2]), max(a[3], b[3]))
-        _maybe_coarsen(state, col, 1, stats)
-        _maybe_coarsen(state, row, 2, stats)
+        _maybe_coarsen(state, cols, rows, c, 0, stats)
+        _maybe_coarsen(state, rows, cols, w, 1, stats)
         if validate:
             _check_invariants(state)
     return True
@@ -410,27 +428,19 @@ def _stall_free_budget(n: int) -> int:
     return d
 
 
-def _dense_cells(state: _State, perm: Permutation):
-    """PointSet of occupied cells plus the maps needed to pull a grid
-    witness on the cells back to the permutation: per-column/row
-    coordinate cuts and a representative point of the permutation per
-    cell."""
-    cols = _lines(state.cols_head)
-    rows = _lines(state.rows_head)
-    row_index = {ln: i + 1 for i, ln in enumerate(rows)}
-    word = perm.word
-    pts: List[Point] = []
-    reps: Dict[Point, Point] = {}
+def _dense_cells(state: _State) -> Tuple[PointSet, List[int], List[int]]:
+    """PointSet of the occupied cells, as (column, row) positions among the
+    live lines, and the live column and row line indices in order."""
+    cols = _lines(state.cols)
+    rows = _lines(state.rows)
+    row_pos = [0] * len(state.rows.size)
+    for pos, line in enumerate(rows, 1):
+        row_pos[line] = pos
+    ccells = state.cols.cells
+    pts: List[Tuple[int, int]] = []
     for ci, col in enumerate(cols, 1):
-        for rline, cell in col.cells.items():
-            cellpt = Point(ci, row_index[rline])
-            pts.append(cellpt)
-            label = state.rep[cell.rects[0]]
-            reps[cellpt] = Point(label, word[label - 1])
-    M = PointSet(len(cols), len(rows), sorted(pts))
-    col_cuts = [c.hi for c in cols]
-    row_cuts = [r.hi for r in rows]
-    return M, col_cuts, row_cuts, reps
+        pts += [(ci, y) for y in sorted([row_pos[row] for row in ccells[col]])]
+    return PointSet._of_pairs(len(cols), len(rows), pts), cols, rows
 
 
 def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
@@ -458,7 +468,7 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         return DecompositionResult(seq=seq, grid=None, width_bound=d)
     if stats is not None:
         stats["dense"] = True
-    M, col_cuts, row_cuts, reps = _dense_cells(state, perm)
+    M, cols, rows = _dense_cells(state)
     # every cell holds one rectangle and consecutive lines are over budget,
     # which forces the density the grid finder needs
     if not (M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2)):
@@ -466,9 +476,16 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     if r is None:
         return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M)
     sub = find_grid(M, r)
-    w = GridWitness([col_cuts[c - 1] for c in sub.col_cuts],
-                    [row_cuts[c - 1] for c in sub.row_cuts],
-                    [[reps[sub.witnesses[j][i]] for i in range(r)] for j in range(r)])
+    # a cell's representative is the least label of its one rectangle
+    ccells = state.cols.cells
+    word = perm.word
+    reps = []
+    for row in sub.witnesses:
+        labels = [state.rep[ccells[cols[x - 1]][rows[y - 1]]] for x, y in row]
+        reps.append([Point(label, word[label - 1]) for label in labels])
+    w = GridWitness([state.cols.hi[cols[c - 1]] for c in sub.col_cuts],
+                    [state.rows.hi[rows[c - 1]] for c in sub.row_cuts],
+                    reps)
     if not verify_grid(perm, w, r):
         raise AssertionError("internal: lifted dense-branch witness failed verification")
     return DecompositionResult(seq=None, grid=w, width_bound=None)

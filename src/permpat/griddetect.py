@@ -24,37 +24,58 @@ _INT64_MAX = 2 ** 63 - 1
 
 @dataclass(frozen=True)
 class PointSet:
-    """Points inside the integer box [1..p] x [1..q].
+    """Points inside the integer box [1..p] x [1..q], as (x, y) pairs.
 
     Unlike a permutation, rows and columns may hold several points;
-    exact duplicates are rejected.
+    exact duplicates are rejected.  The constructor checks its input and
+    makes every point a ``Point`` of ints; the sets the builder and the
+    grid finder make for themselves hold plain int pairs.
     """
 
     p: int
     q: int
-    points: Tuple[Point, ...]
+    points: Tuple[Tuple[int, int], ...]
 
     def __init__(self, p: int, q: int, points):
         p, q = int(p), int(q)
         if p < 0 or q < 0:
             raise ValidationError("box dimensions must be nonnegative, got %d x %d" % (p, q))
-        pts = tuple(Point(int(a[0]), int(a[1])) for a in points)
-        seen: Set[Point] = set()
-        for pt in pts:
-            if not (1 <= pt.x <= p and 1 <= pt.y <= q):
-                raise ValidationError("point %r outside box [1..%d] x [1..%d]" % (pt, p, q))
-            if pt in seen:
-                raise ValidationError("duplicate point %r" % (pt,))
-            seen.add(pt)
+        pts = tuple([Point(int(a[0]), int(a[1])) for a in points])
+        if pts:
+            xs = [pt[0] for pt in pts]
+            ys = [pt[1] for pt in pts]
+            if (min(xs) < 1 or max(xs) > p or min(ys) < 1 or max(ys) > q
+                    or len(set(pts)) != len(pts)):
+                _raise_first_bad_point(p, q, pts)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _of_pairs(cls, p: int, q: int, pairs: List[Tuple[int, int]]) -> "PointSet":
+        """Wrap distinct int pairs already inside the box without checking
+        them."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "p", p)
+        object.__setattr__(ps, "q", q)
+        object.__setattr__(ps, "points", tuple(pairs))
+        return ps
 
     def __len__(self) -> int:
         return len(self.points)
 
     def transpose(self) -> "PointSet":
-        return PointSet(self.q, self.p, [Point(pt.y, pt.x) for pt in self.points])
+        return PointSet._of_pairs(self.q, self.p, [(y, x) for x, y in self.points])
+
+
+def _raise_first_bad_point(p: int, q: int, pts: Tuple[Point, ...]) -> None:
+    seen: Set[Point] = set()
+    for pt in pts:
+        if not (1 <= pt.x <= p and 1 <= pt.y <= q):
+            raise ValidationError("point %r outside box [1..%d] x [1..%d]" % (pt, p, q))
+        if pt in seen:
+            raise ValidationError("duplicate point %r" % (pt,))
+        seen.add(pt)
 
 
 class Block(NamedTuple):
@@ -88,7 +109,7 @@ def parse_point_set(text: str) -> PointSet:
 
 def format_point_set(ps: PointSet) -> str:
     lines = ["%d %d" % (ps.p, ps.q)]
-    lines.extend("%d %d" % (pt.x, pt.y) for pt in ps.points)
+    lines.extend("%d %d" % pt for pt in ps.points)
     return "\n".join(lines)
 
 
@@ -111,13 +132,13 @@ def find_blocks(M: PointSet, r: int) -> List[Block]:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     side = r * r
     table: Dict[Tuple[int, int], List[int]] = {}
-    for pt in sorted(M.points):
-        key = ((pt.x - 1) // side + 1, (pt.y - 1) // side + 1)
+    for x, y in sorted(M.points):
+        key = ((x - 1) // side + 1, (y - 1) // side + 1)
         cols = table.get(key)
         if cols is None:
-            table[key] = [pt.x]
-        elif cols[-1] != pt.x:
-            cols.append(pt.x)
+            table[key] = [x]
+        elif cols[-1] != x:
+            cols.append(x)
     return [Block(Point(*key), tuple(cols)) for key, cols in sorted(table.items())]
 
 
@@ -155,11 +176,11 @@ def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
         want_rows = set(ys)
         want_cols = set(S)
         rep: Dict[Tuple[int, int], int] = {}
-        for pt in sorted(M.points, key=lambda t: (t.y, t.x)):
-            if pt.x in want_cols:
-                by = (pt.y - 1) // side + 1
-                if by in want_rows and (by, pt.x) not in rep:
-                    rep[(by, pt.x)] = pt.y
+        for x, y in M.points:
+            if x in want_cols:
+                by = (y - 1) // side + 1
+                if by in want_rows and rep.get((by, x), y) >= y:
+                    rep[(by, x)] = y
         col_cuts = [S[i] - 1 for i in range(1, r)]
         row_cuts = [(ys[j] - 1) * side for j in range(1, r)]
         witnesses = [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)] for j in range(r)]
@@ -175,7 +196,7 @@ def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
         raise AssertionError("wide-block bound violated")
     p2 = (M.p + side - 1) // side
     q2 = (M.q + side - 1) // side
-    return PointSet(p2, q2, [b.cell for b in blocks])
+    return PointSet._of_pairs(p2, q2, [b.cell for b in blocks])
 
 
 def find_grid(M: PointSet, r: int) -> GridWitness:
@@ -217,16 +238,18 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
     if not (reduced.p + reduced.q > 2 and len(reduced) > inner_threshold):
         raise AssertionError("contraction lost too many points")
     limit = (11 * inner_threshold) // 10
-    by_rows = sorted(reduced.points, key=lambda t: (t.y, t.x))
-    trimmed = PointSet(reduced.p, reduced.q, by_rows[:limit])
+    by_rows = sorted(reduced.points, key=lambda t: (t[1], t[0]))
+    trimmed = PointSet._of_pairs(reduced.p, reduced.q, by_rows[:limit])
 
     sub = find_grid(trimmed, r)
 
-    # lift block-unit cuts and witnesses back to original coordinates
-    blk_min: Dict[Point, Point] = {}
-    for pt in sorted(M.points):
-        cell = Point((pt.x - 1) // side + 1, (pt.y - 1) // side + 1)
-        if cell not in blk_min:
+    # lift block-unit cuts and witnesses back to original coordinates: a
+    # witness block's least point, in one pass over M
+    blk_min: Dict[Tuple[int, int], Tuple[int, int]] = {
+        pt: (M.p + 1, M.q + 1) for row in sub.witnesses for pt in row}
+    for pt in M.points:
+        cell = ((pt[0] - 1) // side + 1, (pt[1] - 1) // side + 1)
+        if pt < blk_min.get(cell, pt):
             blk_min[cell] = pt
     w = GridWitness([c * side for c in sub.col_cuts],
                     [c * side for c in sub.row_cuts],

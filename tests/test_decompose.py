@@ -1,5 +1,6 @@
 """Width replay and the budgeted decomposition builder."""
 
+import gc
 import hashlib
 import random
 
@@ -19,6 +20,7 @@ from permpat import (
     canonical_grid_decomposition,
     exact_width,
     first_violation,
+    format_grid_witness,
     format_merge_sequence,
     format_point_set,
     parse_merge_sequence,
@@ -87,6 +89,38 @@ def test_builder_merge_order_is_pinned():
     assert (cells.p, cells.q, len(cells)) == (600, 600, 2996)
     assert hashlib.sha1(format_point_set(cells).encode()).hexdigest() == \
         "d3b450c307f407e5cc985e3bf8a251983aab88ea"
+
+
+def test_grid_exit_witness_is_pinned():
+    # the witness the grid finder picks among the stalled cells, lifted
+    # back to the permutation
+    res = build_decomposition(random_permutation(100000, 1), 2)
+    assert res.is_grid
+    assert hashlib.sha1(format_grid_witness(res.grid).encode()).hexdigest() == \
+        "1486609199ee88a91413cb2cb98660d8eed03934"
+
+
+NO_CYCLE_BUILDS = {
+    "complete": (lambda: random_separable(2000, 1), {"r": 2}, "seq"),
+    "stall from d": (lambda: random_permutation(3000, 1), {"d": 5}, "cells"),
+    "grid exit": (lambda: random_permutation(100000, 1), {"r": 2}, "grid"),
+}
+
+
+@pytest.mark.parametrize("make, kwargs, outcome", NO_CYCLE_BUILDS.values(),
+                         ids=NO_CYCLE_BUILDS.keys())
+def test_builds_leave_no_cyclic_garbage(make, kwargs, outcome):
+    # the builder's state holds no reference cycle, so reference counting
+    # frees it as the build returns and the cyclic collector finds nothing
+    perm = make()
+    gc.collect()
+    gc.disable()
+    try:
+        res = build_decomposition(perm, **kwargs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert getattr(res, outcome) is not None
 
 
 def test_builder_trivial_and_error_inputs():

@@ -41,6 +41,25 @@ def test_point_set_validation():
         PointSet(3, 2, [Point(4, 1)])
     with pytest.raises(ValidationError):
         PointSet(3, 2, [Point(1, 1), Point(1, 1)])
+    # the first bad point in input order is named
+    with pytest.raises(ValidationError,
+                       match=r"point Point\(x=2, y=0\) outside box \[1..3\] x \[1..2\]"):
+        PointSet(3, 2, [(1, 1), (2, 0), (4, 1)])
+    with pytest.raises(ValidationError, match=r"point Point\(x=4, y=1\) outside box"):
+        PointSet(3, 2, [(4, 1), (1, 1), (3, 2), (1, 1)])
+    with pytest.raises(ValidationError, match=r"duplicate point Point\(x=3, y=2\)"):
+        PointSet(3, 2, [[3, 2], (1, 1), (3, 2), (1, 1)])
+    with pytest.raises(ValidationError, match="box dimensions must be nonnegative"):
+        PointSet(-1, 2, [])
+
+
+def test_point_set_coerces_to_int_points():
+    ps = PointSet(3.0, 2, [(1, 1), [3.0, 2], Point(2, 1)])
+    assert ps.points == ((1, 1), (3, 2), (2, 1))
+    assert all(type(pt) is Point and type(pt.x) is int and type(pt.y) is int
+               for pt in ps.points)
+    assert (ps.p, ps.q) == (3, 2) and type(ps.p) is int
+    assert len(PointSet(0, 0, [])) == 0
 
 
 def test_point_set_text_round_trip():
@@ -57,6 +76,8 @@ def test_point_set_text_round_trip():
 def test_transpose_involution():
     ps = parse_point_set("4 2\n1 1\n4 2\n2 2")
     assert ps.transpose().transpose() == ps
+    t = ps.transpose()
+    assert (t.p, t.q) == (2, 4) and t.points == ((1, 1), (2, 4), (2, 2))
 
 
 def test_find_blocks_on_packed_square():
