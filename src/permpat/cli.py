@@ -202,6 +202,8 @@ def cmd_gen(args) -> int:
     elif args.random is not None:
         if args.seed is None:
             raise ValidationError("--random requires --seed")
+        if args.random < 1:
+            raise ValidationError("length must be positive, got %d" % args.random)
         perm = random_permutation(args.random, args.seed)
     else:
         if args.seed is None:

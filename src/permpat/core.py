@@ -239,7 +239,11 @@ def parse_grid_witness(text: str) -> GridWitness:
             parts = pts[j * r + i].split()
             if len(parts) != 2:
                 raise ParseError("bad witness point line %r" % (pts[j * r + i],))
-            row.append(Point(int(parts[0]), int(parts[1])))
+            try:
+                row.append(Point(int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ParseError("non-integer coordinate in witness point line %r"
+                                 % (pts[j * r + i],)) from None
         rows.append(tuple(row))
     return GridWitness(col_cuts, row_cuts, rows)
 
@@ -333,22 +337,6 @@ def canonical_grid(r: int, s: int) -> Permutation:
     for i in range(1, s + 1):
         for j in range(1, r + 1):
             word[(j - 1) * s + (s - i)] = (i - 1) * r + j
-    return Permutation(word)
-
-
-def substitute(outer: Permutation, x: int, inner: Permutation) -> Permutation:
-    """Replace the point labeled x by a copy of ``inner`` occupying x's
-    place: inner points keep their mutual orders and compare to the rest
-    of ``outer`` exactly as x did.  In the word, inner's values take the
-    place of x's value v, shifted up by v - 1, and the outer values above
-    v move up by len(inner) - 1."""
-    n = len(outer)
-    if type(x) is not int or not 1 <= x <= n:
-        raise ValidationError("label %r not in permutation" % (x,))
-    v = outer.word[x - 1]
-    m = len(inner)
-    word = [y if y < v else y + m - 1 for y in outer.word]
-    word[x - 1:x] = [v - 1 + y for y in inner.word]
     return Permutation(word)
 
 

@@ -147,7 +147,10 @@ def verify_wide(perm: Permutation, seq: MergeSequence, d: int) -> bool:
 
 def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[Tuple[int, int]]:
     """(step number, offending view count) of the first step whose new
-    rectangle reaches d viewers on some axis; None when d-wide."""
+    rectangle reaches d viewers on some axis; None when d-wide.  Raises
+    ValidationError when d < 1."""
+    if d < 1:
+        raise ValidationError("view budget must be >= 1, got %d" % d)
     for p, v1, v2 in _replay_views(perm, seq):
         v = v1 if v1 >= v2 else v2
         if v >= d:
@@ -489,32 +492,3 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     if not verify_grid(perm, w, r):
         raise AssertionError("internal: lifted dense-branch witness failed verification")
     return DecompositionResult(seq=None, grid=w, width_bound=None)
-
-
-def canonical_grid_decomposition(r: int, s: int) -> MergeSequence:
-    """Row-sweep merge sequence for canonical_grid(r, s): sweep the rows
-    bottom to top, absorbing each row's point into its column's rectangle
-    (columns left to right within a level), then join the r column
-    rectangles left to right.  At every step the new rectangle stays inside
-    its column's x-band and sees exactly the other r - 1 column rectangles
-    on the y-axis, so the width is exactly r whenever s >= 2."""
-    if r < 1 or s < 1:
-        raise ValidationError("grid dimensions must be >= 1, got %d x %d" % (r, s))
-    n = r * s
-    steps: List[Tuple[int, int, int]] = []
-    nxt = n + 1
-    # label of the row-i point of column j is (j-1)s + (s-i+1); start each
-    # column's rectangle at its row-1 point
-    col_rect = [j * s for j in range(1, r + 1)]
-    for t in range(2, s + 1):
-        for j in range(1, r + 1):
-            label = (j - 1) * s + (s - t + 1)
-            steps.append((col_rect[j - 1], label, nxt))
-            col_rect[j - 1] = nxt
-            nxt += 1
-    cur = col_rect[0]
-    for other in col_rect[1:]:
-        steps.append((cur, other, nxt))
-        cur = nxt
-        nxt += 1
-    return MergeSequence(steps)

@@ -1,11 +1,7 @@
 """Fast matching when the target splits into few monotone subsequences.
 
-Three layers build on a t-monotone partition of the target:
+Two layers build on a t-monotone partition of the target:
 
-* ``monotone_decomposition`` turns the partition into a (6t-5)-wide merge
-  sequence by repeatedly merging a pair of class-consecutive rectangles
-  chosen to minimise, per axis, the number of foreign rectangles pinned
-  under the pair's bounding box.
 * ``sigma_pi_embedding`` solves the class-respecting embedding problem:
   once every pattern label is committed to a class, the image of a label
   is just a position along its class, and every pairwise order constraint
@@ -29,7 +25,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Embedding,
-    MergeSequence,
     ParseError,
     Permutation,
     ValidationError,
@@ -181,123 +176,6 @@ def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
         classes.append((tuple(remaining[i] for i in take), direction))
         remaining = [l for i, l in enumerate(remaining) if i not in chosen]
     return MonotonePartition(tuple(classes))
-
-
-# ---------------------------------------------------------------------------
-# constructive bounded-width decomposition
-# ---------------------------------------------------------------------------
-
-Box = Tuple[int, int, int, int]
-
-
-def _inside(inner: Box, outer: Box, axis: int) -> bool:
-    a = 2 * axis
-    return outer[a] <= inner[a] and inner[a + 1] <= outer[a + 1]
-
-
-def monotone_decomposition(perm: Permutation, part: MonotonePartition,
-                           validate: bool = False) -> MergeSequence:
-    """Merge sequence of width at most 6t-5 built from a t-monotone
-    partition: while some class has two or more rectangles, merge the
-    class-consecutive pair minimising max over axes of the number of
-    foreign rectangles pinned inside the pair's bounding box (guaranteed
-    at most 4(t-1) by averaging), then join the class survivors in class
-    order.  ``validate`` recomputes all pin counters from scratch each
-    step and checks them against the incremental ones."""
-    validate_monotone_partition(perm, part)
-    n = len(perm)
-    t = part.t
-    if n <= 1:
-        return MergeSequence([])
-    box: Dict[int, Box] = {l: (l, l, y, y) for l, y in enumerate(perm.word, 1)}
-    cls_of: Dict[int, int] = {}
-    nxt: Dict[int, Optional[int]] = {}
-    prv: Dict[int, Optional[int]] = {}
-    heads: List[int] = []
-    for ci, (order, _) in enumerate(part.classes):
-        heads.append(order[0])
-        for idx, s in enumerate(order):
-            cls_of[s] = ci
-            prv[s] = order[idx - 1] if idx else None
-            nxt[s] = order[idx + 1] if idx + 1 < len(order) else None
-    live: Set[int] = set(box)
-
-    def pair_box(left: int) -> Box:
-        b1, b2 = box[left], box[nxt[left]]
-        return (min(b1[0], b2[0]), max(b1[1], b2[1]),
-                min(b1[2], b2[2]), max(b1[3], b2[3]))
-
-    def recount(left: int) -> List[int]:
-        bx = pair_box(left)
-        right = nxt[left]
-        p = [0, 0]
-        for v in live:
-            if v == left or v == right:
-                continue
-            for axis in (0, 1):
-                if _inside(box[v], bx, axis):
-                    p[axis] += 1
-        return [p[0], p[1], bx]
-
-    pairs: Dict[int, List] = {}  # left member -> [pin1, pin2, bounding box]
-    for s in live:
-        if nxt[s] is not None:
-            pairs[s] = recount(s)
-
-    steps: List[Tuple[int, int, int]] = []
-    k = n
-    while pairs:
-        if validate:
-            for left, (p1, p2, bx) in pairs.items():
-                if [p1, p2] != recount(left)[:2]:
-                    raise AssertionError("pin counters drifted")
-            total = sum(max(p1, p2) for p1, p2, _ in pairs.values())
-            if total > 4 * (t - 1) * len(pairs):
-                raise AssertionError("averaging bound violated")
-        left = min(pairs, key=lambda m: (max(pairs[m][0], pairs[m][1]), cls_of[m], m))
-        p1, p2, bx = pairs[left]
-        if p1 > 4 * (t - 1) or p2 > 4 * (t - 1):
-            raise AssertionError("selected pair exceeds pin bound")
-        i, j = left, nxt[left]
-        k += 1
-        steps.append((i, j, k))
-        # splice k into the class chain
-        a, b = prv[i], nxt[j]
-        for gone in (i, j):
-            pairs.pop(gone, None)
-        if a is not None:
-            pairs.pop(a, None)
-        cls_of[k] = cls_of[i]
-        box[k] = bx
-        prv[k], nxt[k] = a, b
-        if a is not None:
-            nxt[a] = k
-        else:
-            heads[cls_of[k]] = k
-        if b is not None:
-            prv[b] = k
-        live.discard(i)
-        live.discard(j)
-        # membership deltas for untouched pairs, then fresh counts for the
-        # at most two new pairs around k
-        for p in pairs.values():
-            pbx = p[2]
-            for axis in (0, 1):
-                p[axis] += (_inside(bx, pbx, axis)
-                            - _inside(box[i], pbx, axis)
-                            - _inside(box[j], pbx, axis))
-        live.add(k)
-        if a is not None:
-            pairs[a] = recount(a)
-        if b is not None:
-            pairs[k] = recount(k)
-    survivors = [heads[ci] for ci in range(t)]
-    acc = survivors[0]
-    for s in survivors[1:]:
-        k += 1
-        steps.append((acc, s, k))
-        acc = k
-    return MergeSequence(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -492,38 +370,6 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
     if not verify_embedding(sigma, pi, emb):
         raise AssertionError("internal: 2SAT solution failed verification")
     return emb
-
-
-def constraint_relations(sigma: Permutation, assign: PatternAssignment,
-                         pi: Permutation, part: MonotonePartition
-                         ) -> Iterator[Tuple[int, int, int, Tuple[Tuple[int, int], ...]]]:
-    """The raw binary constraints of the class-respecting embedding
-    problem: (x, y, alpha, allowed image pairs), one per ordered pattern
-    pair per axis.  Used to check median closure."""
-    sw = sigma.word
-    members = [list(c) for c, _ in part.classes]
-    for x, y in itertools.combinations(range(1, len(sigma) + 1), 2):
-        for alpha in (1, 2):
-            u, w = (x, y) if alpha == 1 or sw[x - 1] < sw[y - 1] else (y, x)
-            rank = _axis(pi, alpha)
-            rel = tuple((uu, ww)
-                        for uu in members[assign[u] - 1]
-                        for ww in members[assign[w] - 1]
-                        if rank(uu) < rank(ww))
-            yield u, w, alpha, rel
-
-
-def _axis(pi: Permutation, alpha: int):
-    """Label -> coordinate along axis alpha (1: x, 2: y)."""
-    if alpha == 1:
-        return lambda l: l
-    word = pi.word
-    return lambda l: word[l - 1]
-
-
-def mid_point(pi: Permutation, alpha: int, a: int, b: int, c: int) -> int:
-    """Median of three target labels along axis alpha."""
-    return sorted((a, b, c), key=_axis(pi, alpha))[1]
 
 
 # ---------------------------------------------------------------------------

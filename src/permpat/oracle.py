@@ -1,9 +1,10 @@
 """Exhaustive reference oracles for small inputs.
 
-Everything in this module is deliberately simple and slow: exact width by
-exploring every merge order, pattern matching by backtracking over all
-embeddings, grid detection by trying every cut combination.  The fast
-algorithms elsewhere in the package are tested against these.  Size caps
+Three searches, each deliberately simple and slow: ``brute_force_match``
+backtracks over all embeddings, ``exact_width`` explores every merge
+order, and ``grid_search`` (``brute_force_grid`` on a permutation) tries
+every cut combination.  The CLI runs them on small inputs, and the fast
+algorithms elsewhere in the package are tested against them.  Size caps
 (named constants below) keep the exponential searches honest.
 """
 
@@ -14,16 +15,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .core import (
     Embedding,
     GridWitness,
-    MergeSequence,
     Permutation,
     Point,
     SizeCapError,
     ValidationError,
-    validate_merge_sequence,
 )
 
 EXACT_WIDTH_CAP = 9     # states ~ Bell(n); n = 9 is ~21k states, still < 2 s
-TREE_CHECK_CAP = 12     # 2^n subsets with a bitmask scan each
 BRUTE_GRID_CAP = 16     # C(n-1, r-1)^2 cut choices
 
 
@@ -149,81 +147,6 @@ def exact_width(perm: Permutation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# close pairs and the tree characterization
-# ---------------------------------------------------------------------------
-
-def find_close_pair(perm: Permutation, d: int) -> Optional[Tuple[int, int]]:
-    """First (by label pair, lexicographically) pair p < q with fewer than
-    d points strictly between them in both the x- and the y-order."""
-    word = perm.word
-    n = len(word)
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            if q - p - 1 < d and abs(word[p - 1] - word[q - 1]) - 1 < d:
-                return (p, q)
-    return None
-
-
-def check_tree_characterization(perm: Permutation, seq: MergeSequence, d: int) -> bool:
-    """Width test driven by the merge forest alone.
-
-    For every subset X of at least two points, restrict the merge tree to
-    X and look at its lowest-numbered internal node; that node joins
-    exactly two X-points, and the sequence is d-wide on the whole
-    permutation iff for every X this pair is d-close within the
-    restriction to X.  Exhaustive over 2^n subsets; capped at
-    TREE_CHECK_CAP points.
-    """
-    n = len(perm)
-    if n > TREE_CHECK_CAP:
-        raise SizeCapError("check_tree_characterization enumerates 2^n subsets; "
-                           "%d points exceeds cap %d" % (n, TREE_CHECK_CAP))
-    validate_merge_sequence(seq, n, require_complete=True)
-    if n <= 1:
-        return True
-
-    # bit b-1 of a mask stands for label b
-    leafmask = {l: 1 << (l - 1) for l in range(1, n + 1)}
-    internal: List[Tuple[int, int]] = []  # (child mask i, child mask j) in index order
-    for i, j, k in seq:
-        internal.append((leafmask[i], leafmask[j]))
-        leafmask[k] = leafmask[i] | leafmask[j]
-
-    xr = list(range(n + 1))
-    yr = [0, *perm.word]
-
-    for X in range(1, 1 << n):
-        if X & (X - 1) == 0:
-            continue  # fewer than two points
-        pair = 0
-        for mi, mj in internal:
-            if (mi & X) and (mj & X):
-                pair = ((mi | mj) & X)
-                break
-        # the lowest internal node of the restricted tree joins exactly
-        # two X-points; anything else is a bug in this oracle
-        if not pair or bin(pair).count("1") != 2:
-            raise AssertionError("restricted tree scan broke")
-        lo = (pair & -pair).bit_length()
-        hi = pair.bit_length()
-        # count members of X strictly between the pair in each order
-        x_lo, x_hi = sorted((xr[lo], xr[hi]))
-        y_lo, y_hi = sorted((yr[lo], yr[hi]))
-        g1 = g2 = 0
-        rest = X & ~pair
-        while rest:
-            b = (rest & -rest).bit_length()
-            rest &= rest - 1
-            if x_lo < xr[b] < x_hi:
-                g1 += 1
-            if y_lo < yr[b] < y_hi:
-                g2 += 1
-        if g1 >= d or g2 >= d:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # grid detection
 # ---------------------------------------------------------------------------
 
@@ -275,72 +198,3 @@ def brute_force_grid(perm: Permutation, r: int) -> Optional[GridWitness]:
         raise SizeCapError("brute_force_grid tries all cut choices; %d points exceeds cap %d"
                            % (len(perm), BRUTE_GRID_CAP))
     return grid_search(perm.points, r)
-
-
-# ---------------------------------------------------------------------------
-# separability
-# ---------------------------------------------------------------------------
-
-def is_separable(perm: Permutation) -> bool:
-    """Decide separability by greedy contraction.
-
-    A permutation is separable iff, as long as two or more points remain,
-    some pair is adjacent in both the x-order and the y-order, and
-    contracting such a pair (dropping one of the two) keeps it separable.
-    Maintaining both adjacency lists makes this linear-ish: each
-    contraction only creates candidate pairs next to the removed point.
-    """
-    n = len(perm)
-    if n <= 1:
-        return True
-    by_x = list(range(1, n + 1))
-    by_y = [0] * n
-    for l, y in enumerate(perm.word, 1):
-        by_y[y - 1] = l
-    # doubly linked neighbor maps in each order
-    nxt_x: Dict[int, Optional[int]] = {}
-    prv_x: Dict[int, Optional[int]] = {}
-    nxt_y: Dict[int, Optional[int]] = {}
-    prv_y: Dict[int, Optional[int]] = {}
-    for order, nxt, prv in ((by_x, nxt_x, prv_x), (by_y, nxt_y, prv_y)):
-        for a, b in zip(order, order[1:]):
-            nxt[a] = b
-            prv[b] = a
-        nxt[order[-1]] = None
-        prv[order[0]] = None
-
-    alive: Set[int] = set(by_x)
-    work: List[int] = list(by_x)
-    remaining = n
-    while work:
-        a = work.pop()
-        if a not in alive:
-            continue
-        b = nxt_x.get(a)
-        if b is None or b not in alive:
-            continue
-        if nxt_y.get(a) != b and prv_y.get(a) != b:
-            continue
-        # contract: drop b, a absorbs it
-        alive.discard(b)
-        remaining -= 1
-        for nxt, prv in ((nxt_x, prv_x), (nxt_y, prv_y)):
-            after = nxt.get(b)
-            before = prv.get(b)
-            if before == a or after == a:
-                # a and b adjacent here; splice b out around a
-                if before == a:
-                    nxt[a] = after
-                    if after is not None:
-                        prv[after] = a
-                else:
-                    prv[a] = before
-                    if before is not None:
-                        nxt[before] = a
-            else:  # pragma: no cover - b is adjacent to a in both orders
-                raise AssertionError("contraction invariant broken")
-        # new adjacencies can only appear next to a
-        for c in (a, prv_x.get(a), prv_y.get(a)):
-            if c is not None and c in alive:
-                work.append(c)
-    return remaining == 1

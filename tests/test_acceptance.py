@@ -20,22 +20,16 @@ from permpat import (
     brute_force_match,
     build_decomposition,
     canonical_grid,
-    canonical_grid_decomposition,
-    check_tree_characterization,
     exact_width,
     f_bound,
-    find_close_pair,
     find_grid,
     find_pattern,
     grid_search,
     greedy_monotone_partition,
-    is_separable,
     match_auto,
-    monotone_decomposition,
     poly_space_match,
     random_permutation,
     random_separable,
-    substitute,
     t_monotone_match,
     validate_monotone_partition,
     verify_embedding,
@@ -45,9 +39,19 @@ from permpat import (
 )
 from permpat.core import Permutation, Point
 from permpat.griddetect import PointSet
-from permpat.monotone import constraint_relations, mid_point
 
-from helpers import random_merge_sequence, random_t_monotone
+from helpers import (
+    canonical_grid_decomposition,
+    check_tree_characterization,
+    constraint_relations,
+    find_close_pair,
+    is_separable,
+    mid_point,
+    monotone_decomposition,
+    random_merge_sequence,
+    random_t_monotone,
+    substitute,
+)
 
 
 def _conclude(num, label, t0, budget, problems):

@@ -9,16 +9,15 @@ import sys
 import pytest
 
 import permpat
+from helpers import canonical_grid_decomposition, is_separable
 from permpat import (
     canonical_grid,
-    canonical_grid_decomposition,
     format_merge_sequence,
     parse_embedding,
     parse_grid_witness,
     parse_merge_sequence,
     parse_permutation,
     parse_point_set,
-    is_separable,
     random_permutation,
     verify_embedding,
     verify_grid,
@@ -202,6 +201,11 @@ def test_gen_subcommand(capsys):
     assert code == 2
     code, _, _ = run(capsys, "gen", "--random", "3", "--separable", "3", "--seed", "1")
     assert code == 2
+    # an empty line would not parse back as a permutation
+    for kind in ("--random", "--separable"):
+        code, out, err = run(capsys, "gen", kind, "0", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: length must be positive, got 0\n"
 
 
 def test_verify_subcommand(capsys, tmp_path):
@@ -212,6 +216,16 @@ def test_verify_subcommand(capsys, tmp_path):
     assert (code, out.strip()) == (0, "OK")
     code, out, _ = run(capsys, "verify", "-t", "3 1 4 2", "--seq", str(fn), "--d", "1")
     assert code == 1 and out.startswith("FAIL step 1 ")
+    # no sequence meets a budget below 1, not even an empty one
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    pair = tmp_path / "pair.txt"
+    pair.write_text("1 2 3\n")
+    for text, fn in (("1", empty), ("1 2", pair)):
+        for d in ("0", "-3"):
+            code, out, err = run(capsys, "verify", "-t", text, "--seq", str(fn), "--d", d)
+            assert (code, out) == (2, "")
+            assert err == "error: view budget must be >= 1, got %s\n" % d
 
 
 def test_error_exit_codes(capsys):

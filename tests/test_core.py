@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat
+from helpers import is_separable, substitute
 from permpat import (
     MergeSequence,
     ParseError,
@@ -17,14 +18,13 @@ from permpat import (
     canonical_grid,
     format_embedding,
     format_merge_sequence,
-    is_separable,
     parse_embedding,
+    parse_grid_witness,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
     random_separable,
     reduce,
-    substitute,
     validate_merge_sequence,
     verify_embedding,
     verify_grid,
@@ -209,6 +209,17 @@ def test_verify_grid_canonical_and_negative():
                    [Point(2, 1), Point(4, 1)]):
         stray = GridWitness([2], [2], [bottom, [Point(1, 3), Point(3, 4)]])
         assert not verify_grid(perm, stray, 2)
+
+
+def test_parse_grid_witness_raises_parse_error_on_malformed_text():
+    good = "cols: 2\nrows: 2\n2 1\n4 2\n1 3\n3 4\n"
+    assert verify_grid(canonical_grid(2, 2), parse_grid_witness(good), 2)
+    for bad in ["cols: 2\nrows: 2\n2 1\n4 2\n1 3\n",        # three of four witnesses
+                "cols: x\nrows: 2\n2 1\n4 2\n1 3\n3 4\n",   # non-integer cut
+                "cols: 2\nrows: 2\n2 1\n4 2 7\n1 3\n3 4\n",  # three fields
+                "cols: 2\nrows: 2\n2 x\n4 2\n1 3\n3 4\n"]:  # non-integer coordinate
+        with pytest.raises(ParseError):
+            parse_grid_witness(bad)
 
 
 @settings(max_examples=40, deadline=None)

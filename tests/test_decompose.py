@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_merge_sequence
+from helpers import canonical_grid_decomposition, random_merge_sequence
 from permpat import (
     MergeSequence,
     Permutation,
@@ -17,7 +17,6 @@ from permpat import (
     ValidationError,
     build_decomposition,
     canonical_grid,
-    canonical_grid_decomposition,
     exact_width,
     first_violation,
     format_grid_witness,
@@ -55,6 +54,9 @@ def test_width_replay_frozen_example():
     assert not verify_wide(perm, seq, 1)
     assert first_violation(perm, seq, 2) is None
     assert first_violation(perm, seq, 1) == (1, 1)
+    assert not verify_wide(perm, seq, 0)
+    with pytest.raises(ValidationError):
+        first_violation(perm, seq, 0)
 
 
 def test_width_convention_for_tiny_inputs():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat
-from helpers import random_merge_sequence
+from helpers import monotone_decomposition, random_merge_sequence
 from permpat import (
     Permutation,
     ValidationError,
@@ -23,7 +23,6 @@ from permpat import (
     find_pattern,
     greedy_monotone_partition,
     match_auto,
-    monotone_decomposition,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
@@ -171,14 +170,15 @@ def test_witness_checks_survive_optimized_mode():
     # decomposition's pin bound
     script = textwrap.dedent("""
         import sys
+        import helpers
         import permpat.decompose as dec
         import permpat.griddetect as gd
         import permpat.matcher as m
         import permpat.monotone as mono
         from permpat import (DecompositionResult, PointSet, brute_force_grid,
                              build_decomposition, canonical_grid, find_grid, find_pattern,
-                             greedy_monotone_partition, match_auto, monotone_decomposition,
-                             parse_permutation, poly_space_match)
+                             greedy_monotone_partition, match_auto, parse_permutation,
+                             poly_space_match)
 
         grid = canonical_grid(2, 2)
         witness = brute_force_grid(grid, 2)
@@ -214,9 +214,9 @@ def test_witness_checks_survive_optimized_mode():
         def pin_bound():
             # every box counts as pinned, so the one-class target breaks the
             # 4 (t - 1) = 0 bound on the first pair
-            mono._inside = lambda inner, outer, axis: True
+            helpers._inside = lambda inner, outer, axis: True
             inc = parse_permutation("1 2 3 4")
-            return monotone_decomposition(inc, greedy_monotone_partition(inc))
+            return helpers.monotone_decomposition(inc, greedy_monotone_partition(inc))
         print("optimize", sys.flags.optimize)
         for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
                            ("single", lambda: match_auto(parse_permutation("1"), pi)),
@@ -234,8 +234,9 @@ def test_witness_checks_survive_optimized_mode():
                 print(name, "raised")
     """)
     src = str(pathlib.Path(permpat.__file__).resolve().parents[1])
+    tests = str(pathlib.Path(__file__).resolve().parent)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_t_monotone
+from helpers import constraint_relations, mid_point, monotone_decomposition, random_t_monotone
 from permpat import (
     MonotonePartition,
     ParseError,
@@ -13,7 +13,6 @@ from permpat import (
     brute_force_match,
     format_monotone_partition,
     greedy_monotone_partition,
-    monotone_decomposition,
     parse_monotone_partition,
     parse_permutation,
     poly_space_match,
@@ -25,7 +24,7 @@ from permpat import (
     verify_wide,
     width_of_decomposition,
 )
-from permpat.monotone import _TwoSat, constraint_relations, mid_point
+from permpat.monotone import _TwoSat
 
 
 def test_partition_text_round_trip():

@@ -4,22 +4,24 @@ import random
 
 import pytest
 
-from helpers import random_merge_sequence
+from helpers import (
+    check_tree_characterization,
+    find_close_pair,
+    is_separable,
+    random_merge_sequence,
+    substitute,
+)
 from permpat import (
     SizeCapError,
     brute_force_grid,
     brute_force_match,
     canonical_grid,
-    check_tree_characterization,
     exact_width,
-    find_close_pair,
     grid_search,
-    is_separable,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
     reduce,
-    substitute,
     verify_embedding,
     verify_grid,
     verify_wide,
