@@ -91,17 +91,15 @@ def parse_point_set(text: str) -> PointSet:
     lines = [l.strip() for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise ParseError("empty point set text")
-    head = lines[0].split()
+    head, *rows = [line.split() for line in lines]
     if len(head) != 2:
         raise ParseError("first line must be 'p q', got %r" % (lines[0],))
+    for line, parts in zip(lines[1:], rows):
+        if len(parts) != 2:
+            raise ParseError("bad point line %r" % (line,))
     try:
         p, q = int(head[0]), int(head[1])
-        pts = []
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("bad point line %r" % (line,))
-            pts.append(Point(int(parts[0]), int(parts[1])))
+        pts = [Point(int(x), int(y)) for x, y in rows]
     except ValueError:
         raise ParseError("non-integer value in point set text") from None
     return PointSet(p, q, pts)

@@ -13,15 +13,28 @@ Two layers build on a t-monotone partition of the target:
   2*ceil(sqrt(n)) because a longest monotone subsequence of m points has
   at least ceil(sqrt(m)) of them.
 
+Most commitments have no embedding, so a cheap necessary check runs
+before any 2SAT instance is built.  ``_bounds_refute`` keeps a window of
+positions per committed label and narrows it by the order constraints,
+each a ``bisect`` against the other label's extreme coordinate, until
+nothing changes; an empty window refutes the commitment.  It runs on
+every complete commitment inside ``sigma_pi_embedding`` and on every
+prefix of two or more labels inside ``t_monotone_match``, which is forward
+checking in the CSP view of pattern matching.  The constraints of a prefix
+are a subset of those of its completions, so a refuted prefix has no
+solution below it, and a commitment the check lets through is solved
+exactly as without it: the first embedding found does not change.
+
 No dynamic-programming tables are kept, so memory stays polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import neg
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     Embedding,
@@ -296,11 +309,77 @@ def _staircase(ts: _TwoSat, guards: List[int], A: Sequence[int], B: Sequence[int
     return True
 
 
+def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
+                   coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
+                   dirs: Sequence[str]) -> bool:
+    """Whether interval propagation proves that the committed labels
+    (the keys of ``assign``) have no class-respecting embedding.
+
+    Each label keeps a window [lo, hi] of 0-based positions in its class.
+    Every pairwise order constraint says "coordinate of u < coordinate of
+    w", and both coordinates are monotone in position, so one ``bisect``
+    against the other label's extreme value over its window tightens one
+    end: u's coordinate must stay below w's largest, and w's above u's
+    smallest.  Rules run until no window changes; an empty window proves
+    that no embedding exists.  Every rule is a necessary condition, so a
+    satisfiable assignment is never refuted.  ``coords[c-1]`` holds class
+    c's x- and y-coordinates by position for every class in use.
+    """
+    labels = sorted(assign)  # in x-order
+    lo = dict.fromkeys(labels, 0)
+    hi = {s: len(coords[assign[s] - 1][0]) - 1 for s in labels}
+    rules = []
+    for i, x in enumerate(labels):
+        for y in labels[i + 1:]:
+            low, high = (x, y) if sw[x - 1] < sw[y - 1] else (y, x)
+            for alpha, u, w in ((0, x, y), (1, low, high)):
+                cu, cw = assign[u] - 1, assign[w] - 1
+                rules.append((u, w, coords[cu][alpha], coords[cw][alpha],
+                              alpha == 0 or dirs[cu] == INCREASING,
+                              alpha == 0 or dirs[cw] == INCREASING))
+    changed = True
+    while changed:
+        changed = False
+        for u, w, A, B, inc_a, inc_b in rules:
+            top = B[hi[w]] if inc_b else B[lo[w]]  # w's largest coordinate
+            if inc_a:
+                p = bisect_left(A, top) - 1
+                if p < hi[u]:
+                    hi[u] = p
+                    changed = True
+            else:
+                p = bisect_right(A, -top, key=neg)
+                if p > lo[u]:
+                    lo[u] = p
+                    changed = True
+            if lo[u] > hi[u]:
+                return True
+            bottom = A[lo[u]] if inc_a else A[hi[u]]  # u's smallest coordinate
+            if inc_b:
+                p = bisect_right(B, bottom)
+                if p > lo[w]:
+                    lo[w] = p
+                    changed = True
+            else:
+                p = bisect_left(B, -bottom, key=neg) - 1
+                if p < hi[w]:
+                    hi[w] = p
+                    changed = True
+            if lo[w] > hi[w]:
+                return True
+    return False
+
+
 def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
-                       pi: Permutation, part: MonotonePartition) -> Optional[Embedding]:
+                       pi: Permutation, part: MonotonePartition,
+                       stats: Optional[dict] = None) -> Optional[Embedding]:
     """Embedding of sigma into pi sending each pattern label into its
-    assigned class, or None.  Filters class direction mismatches first,
-    then solves the per-pair staircase constraints by 2SAT."""
+    assigned class, or None.  Filters class direction mismatches and
+    overfull classes first, then refutes by position-bounds propagation,
+    and only then solves the per-pair staircase constraints by 2SAT.
+
+    When ``stats`` is a dict, ``stats["refuted"]`` counts a refutation by
+    the bounds and ``stats["solves"]`` a 2SAT solve."""
     t = part.t
     labels = range(1, len(sigma) + 1)  # in x-order
     sw = sigma.word
@@ -312,18 +391,24 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
 
     pw = pi.word
     order = [members for members, _ in part.classes]
-    coords = [(members, [pw[s - 1] for s in members]) for members in order]
     dirs = [d for _, d in part.classes]
 
-    sig_cls: Dict[int, List[int]] = {c: [] for c in range(1, t + 1)}
+    sig_cls: Dict[int, List[int]] = {}
     for s in labels:
-        sig_cls[assign[s]].append(s)
-    for c in range(1, t + 1):
-        mem = sig_cls[c]
+        sig_cls.setdefault(assign[s], []).append(s)
+    for c, mem in sig_cls.items():
         if len(mem) > len(order[c - 1]):
             return None  # more pattern labels than class members
         if not _is_monotone([sw[s - 1] for s in mem], dirs[c - 1]):
             return None  # direction mismatch
+    # x- and y-coordinates by class position, for the classes in use
+    coords = {c - 1: (order[c - 1], [pw[s - 1] for s in order[c - 1]]) for c in sig_cls}
+    if _bounds_refute(sw, assign, coords, dirs):
+        if stats is not None:
+            stats["refuted"] = stats.get("refuted", 0) + 1
+        return None
+    if stats is not None:
+        stats["solves"] = stats.get("solves", 0) + 1
 
     # threshold booleans: b[(s, v)]  <=>  "s lands at class position >= v"
     vid: Dict[Tuple[int, int], int] = {}
@@ -377,30 +462,38 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
 # ---------------------------------------------------------------------------
 
 def t_monotone_match(sigma: Permutation, pi: Permutation,
-                     part: MonotonePartition) -> Optional[Embedding]:
+                     part: MonotonePartition, stats: Optional[dict] = None) -> Optional[Embedding]:
     """First embedding found over all class commitments of the pattern
     labels, enumerated as a base-t counter with label 1 most significant;
-    branches die early on class overflow or an already non-monotone
-    restriction."""
+    branches die early on class overflow, an already non-monotone
+    restriction, or a prefix the position bounds refute.
+
+    When ``stats`` is a dict it receives four counts: ``leaves`` (complete
+    commitments reached), ``pruned`` (prefixes refuted by the bounds),
+    ``refuted`` (complete commitments refuted by the bounds) and
+    ``solves`` (2SAT solves)."""
     validate_monotone_partition(pi, part)
     ell = len(sigma)
     sw = sigma.word
     if ell < 1:
         raise ValidationError("pattern must be nonempty")
-    if ell > len(pi):
-        return None
     t = part.t
+    pw = pi.word
+    coords = {ci: (members, [pw[s - 1] for s in members])
+              for ci, (members, _) in enumerate(part.classes)}
     sizes = [len(c) for c, _ in part.classes]
     dirs = [d for _, d in part.classes]
     assign: PatternAssignment = {}
     counts = [0] * t
+    tally = dict.fromkeys(("leaves", "pruned", "refuted", "solves"), 0)
 
     def class_ok(c: int) -> bool:
         return _is_monotone([sw[s - 1] for s in sorted(assign) if assign[s] == c], dirs[c - 1])
 
     def dfs(idx: int) -> Optional[Embedding]:
         if idx == ell:
-            return sigma_pi_embedding(sigma, dict(assign), pi, part)
+            tally["leaves"] += 1
+            return sigma_pi_embedding(sigma, dict(assign), pi, part, stats=tally)
         s = idx + 1
         for c in range(1, t + 1):
             if counts[c - 1] >= sizes[c - 1]:
@@ -408,20 +501,28 @@ def t_monotone_match(sigma: Permutation, pi: Permutation,
             assign[s] = c
             counts[c - 1] += 1
             if class_ok(c):
-                found = dfs(idx + 1)
-                if found is not None:
-                    del assign[s]
-                    counts[c - 1] -= 1
-                    return found
+                if 2 <= s < ell and _bounds_refute(sw, assign, coords, dirs):
+                    tally["pruned"] += 1
+                else:
+                    found = dfs(idx + 1)
+                    if found is not None:
+                        del assign[s]
+                        counts[c - 1] -= 1
+                        return found
             del assign[s]
             counts[c - 1] -= 1
         return None
 
-    return dfs(0)
+    found = dfs(0) if ell <= len(pi) else None
+    if stats is not None:
+        stats.update(tally)
+    return found
 
 
-def poly_space_match(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
+def poly_space_match(sigma: Permutation, pi: Permutation,
+                     stats: Optional[dict] = None) -> Optional[Embedding]:
     """Greedy monotone partition of the target, then class-commitment
-    enumeration; time n^(l/2+o(l)) but only polynomial memory."""
+    enumeration; time n^(l/2+o(l)) but only polynomial memory.  ``stats``
+    is passed to ``t_monotone_match``."""
     part = greedy_monotone_partition(pi)
-    return t_monotone_match(sigma, pi, part)
+    return t_monotone_match(sigma, pi, part, stats=stats)

@@ -71,6 +71,13 @@ def test_point_set_text_round_trip():
         parse_point_set("")
     with pytest.raises(ParseError):
         parse_point_set("3\n1 1")
+    # a point line with the wrong number of fields is named as such, not
+    # as a non-integer value
+    for bad in ("2 2\n1 1 1", "2 2\n1"):
+        with pytest.raises(ParseError, match="bad point line"):
+            parse_point_set(bad)
+    with pytest.raises(ParseError, match="non-integer"):
+        parse_point_set("2 2\n1 x")
 
 
 def test_transpose_involution():

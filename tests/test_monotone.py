@@ -1,14 +1,19 @@
 """Monotone partitions: greedy extraction, pin-guided merging, 2SAT matching."""
 
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import constraint_relations, mid_point, monotone_decomposition, random_t_monotone
 from permpat import (
     MonotonePartition,
     ParseError,
+    Permutation,
     ValidationError,
     brute_force_match,
     format_monotone_partition,
@@ -17,6 +22,8 @@ from permpat import (
     parse_permutation,
     poly_space_match,
     random_permutation,
+    random_separable,
+    reduce,
     sigma_pi_embedding,
     t_monotone_match,
     validate_monotone_partition,
@@ -150,38 +157,77 @@ def test_sigma_pi_embedding_validates_assignment():
         sigma_pi_embedding(parse_permutation("2 1"), {1: 1}, pi, part)
 
 
-def test_sigma_pi_embedding_matches_exhaustive_class_respecting_search():
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        t = rng.randint(1, min(3, n))
-        pi, part = random_t_monotone(n, t, rng)
-        ell = rng.randint(1, min(3, n))
-        sigma = random_permutation(ell, rng.randrange(1 << 30))
-        assign = {s: rng.randint(1, t) for s in range(1, ell + 1)}
-        got = sigma_pi_embedding(sigma, assign, pi, part)
-        # reference: filter brute-force embeddings by class membership
-        cls = part.class_of()
-        want = None
-        import itertools
+def _class_respecting_exists(sigma, assign, pi, part):
+    # exhaustive: images in x-order, each in its label's class, whose
+    # values are ordered as the pattern's
+    cls = part.class_of()
+    by_value = sorted(range(len(sigma)), key=lambda i: sigma.word[i])
+    for images in itertools.combinations(range(1, len(pi) + 1), len(sigma)):
+        if all(cls[p] == assign[s] for s, p in enumerate(images, 1)) and \
+                sorted(range(len(sigma)), key=lambda i: pi.word[images[i] - 1]) == by_value:
+            return True
+    return False
 
-        for images in itertools.permutations(range(1, n + 1), ell):
-            emb = dict(enumerate(images, 1))
-            if all(cls[emb[s]] == assign[s] for s in emb):
-                try:
-                    ok = verify_embedding(sigma, pi, emb)
-                except ValidationError:
-                    ok = False
-                if ok:
-                    want = emb
-                    break
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert verify_embedding(sigma, pi, got)
-            assert all(cls[got[s]] == assign[s] for s in got)
-            checked += 1
-    assert checked > 5
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 1 << 32))
+def test_sigma_pi_embedding_matches_exhaustive_class_respecting_search(seed):
+    # the bounds check may refute only assignments the exhaustive search
+    # also finds empty.  The pattern is random or planted at random
+    # images, and the assignment random or the classes of those images,
+    # so both outcomes are common.
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    pi, part = random_t_monotone(n, rng.randint(1, min(3, n)), rng)
+    ell = rng.randint(2, min(4, n))  # a single label meets no constraint
+    images = sorted(rng.sample(range(1, n + 1), ell))
+    cls = part.class_of()
+    if rng.random() < 0.5:
+        sigma = reduce((p, pi.word[p - 1]) for p in images)
+    else:
+        sigma = random_permutation(ell, rng.randrange(1 << 30))
+    if rng.random() < 0.5:
+        assign = {s: cls[p] for s, p in enumerate(images, 1)}
+    else:
+        assign = {s: rng.randint(1, part.t) for s in range(1, ell + 1)}
+    got = sigma_pi_embedding(sigma, assign, pi, part)
+    assert (got is not None) == _class_respecting_exists(sigma, assign, pi, part)
+    if got is not None:
+        assert verify_embedding(sigma, pi, got)
+        assert all(cls[got[s]] == assign[s] for s in got)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(3, 12), st.integers(0, 1 << 30),
+       st.integers(1, 5).flatmap(lambda ell: st.permutations(range(1, ell + 1))).map(Permutation))
+def test_t_monotone_match_agrees_with_brute_force_on_three_classes(n, seed, sigma):
+    # three classes give prefixes that the bounds can prune
+    pi, part = random_t_monotone(n, 3, random.Random(seed))
+    got = t_monotone_match(sigma, pi, part)
+    assert (got is None) == (brute_force_match(sigma, pi) is None)
+    if got is not None:
+        assert verify_embedding(sigma, pi, got)
+
+
+def test_match_stats_count_pruned_prefixes_refuted_leaves_and_solves():
+    # 2413 is absent from separable targets: every leaf the prefix bounds
+    # let through is refuted at the leaf or by its 2SAT solve
+    stats = {}
+    assert poly_space_match(parse_permutation("2 4 1 3"), random_separable(30, 1), stats=stats) is None
+    assert set(stats) == {"leaves", "pruned", "refuted", "solves"}
+    assert stats["pruned"] > 0 and stats["refuted"] > 0
+    assert stats["leaves"] == stats["refuted"] + stats["solves"]
+    # a present pattern ends at its first successful solve
+    pi = parse_permutation("3 2 1 5 6 7 4")
+    part = MonotonePartition((((1, 2, 3), "dec"), ((4, 5, 6), "inc"), ((7,), "inc")))
+    stats = {}
+    assert t_monotone_match(parse_permutation("1 3 2"), pi, part, stats=stats) is not None
+    assert stats["solves"] >= 1
+    assert stats["leaves"] == stats["refuted"] + stats["solves"]
+    # longer than the target: nothing is enumerated
+    stats = {}
+    assert t_monotone_match(parse_permutation("1 2 3"), parse_permutation("1 2"),
+                            MonotonePartition((((1, 2), "inc"),)), stats=stats) is None
+    assert stats == {"leaves": 0, "pruned": 0, "refuted": 0, "solves": 0}
 
 
 def test_t_monotone_match_worked_examples():
@@ -242,3 +288,56 @@ def test_in_class_medians_coincide_on_both_axes():
                 continue
             for triple in [rng.sample(members, 3) for _ in range(5)]:
                 assert mid_point(pi, 1, *triple) == mid_point(pi, 2, *triple)
+
+
+def _two_runs(n, rng, increasing_only=False):
+    # a union of two monotone runs, as the benchmark's polyspace targets
+    while True:
+        pi, part = random_t_monotone(n, 2, rng)
+        if not increasing_only or all(d == "inc" for _, d in part.classes):
+            return pi, part
+
+
+def _planted(pi, ell, rng):
+    positions = sorted(rng.sample(range(1, len(pi) + 1), ell))
+    return reduce((p, pi.word[p - 1]) for p in positions)
+
+
+def _line(emb):
+    return "-" if emb is None else " ".join(str(emb[s]) for s in sorted(emb))
+
+
+def _match_outputs():
+    # the benchmark's polyspace query shapes at smaller n: planted 5-, 4-
+    # and 6-patterns in two runs, 3 2 1 in two increasing runs (absent),
+    # and 2413 / 3142 in separable targets (absent)
+    rng = random.Random(61)
+    lines = []
+    for r in range(6):
+        for ell in (5, 4 if r % 2 else 6):
+            pi, _ = _two_runs(300, rng)
+            lines.append(_line(poly_space_match(_planted(pi, ell, rng), pi)))
+        pi, _ = _two_runs(150, rng, increasing_only=True)
+        lines.append(_line(poly_space_match(parse_permutation("3 2 1"), pi)))
+        pattern = "2 4 1 3" if r % 2 else "3 1 4 2"
+        lines.append(_line(poly_space_match(parse_permutation(pattern), random_separable(30, r))))
+    # small uniform targets, and small t-monotone targets under both
+    # their witnessing partition and the greedy one
+    for _ in range(220):
+        n = rng.randint(1, 12)
+        ell = rng.randint(1, min(5, n))
+        sigma = random_permutation(ell, rng.randrange(1 << 30))
+        lines.append(_line(poly_space_match(sigma, random_permutation(n, rng.randrange(1 << 30)))))
+        pi, part = random_t_monotone(n, rng.randint(1, min(3, n)), rng)
+        lines.append(_line(t_monotone_match(sigma, pi, part)))
+        lines.append(_line(poly_space_match(sigma, pi)))
+    return lines
+
+
+def test_match_outputs_are_pinned():
+    # the first embedding each matcher returns, over every class
+    # commitment it tries in order, on a fixed set of queries
+    lines = _match_outputs()
+    assert sum(line != "-" for line in lines) > 300
+    assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == \
+        "6f971c6704c355abca0fbadb66fbe37b456ac93b"
