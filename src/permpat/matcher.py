@@ -28,6 +28,12 @@ cross-component order pairs depend only on which children receive labels
 a split is then tested by comparing tabulated extents and looking its
 components up.  Splits are tried in ascending submask order, so the
 recorded winner is the least mask that works.
+
+An entry whose parts together hold every label already certifies an
+embedding into the points of its rectangles, so the sweep stops at the
+first such entry it stores and re-descends the winning splits from
+there; the root entry, at the last step, is the latest such entry.  An
+absent pattern stores none, so it runs every step.
 """
 
 from __future__ import annotations
@@ -279,10 +285,23 @@ def _split_shape(slot: Dict[int, int], boxes: Mapping[int, Box]):
     return len(comps), points, lookups, xpairs, ypairs
 
 
+class _Placed(Exception):
+    """Ends find_pattern's sweep at the first stored entry whose parts
+    place every pattern label; its args are that entry's key and masks."""
+
+
 def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
                  stats: Optional[dict] = None) -> Optional[Embedding]:
     """Decide whether sigma occurs in pi along a complete merge sequence;
-    returns an embedding (sigma label -> pi label) or None."""
+    returns an embedding (sigma label -> pi label) or None.
+
+    The sweep over the steps ends at the first stored entry whose parts
+    place every label of sigma, and the embedding is read off that entry.
+    When the sweep runs (len(sigma) <= len(pi) and len(pi) >= 2),
+    ``stats`` receives its counts up to that exit: ``entries`` (table
+    entries stored), ``max_components`` (the most components of any split
+    shape) and ``steps`` (merge steps processed; len(seq) when sigma is
+    absent)."""
     ell = len(sigma)
     n = len(pi)
     if ell < 1:
@@ -324,49 +343,55 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
                 return False
         return True
 
-    for step in seq:
-        j1, j2, j = step
-        graph.merge(step)
-        for key in connected_sets(graph, j, ell):
-            m = len(key)  # key[-1] == j, the newest rectangle
-            slot = {r: t for t, r in enumerate(key[:-1])}
-            # splits send labels to j2 only, to both children, or to j1
-            # only; slot m - 1 holds j1's part and slot m holds j2's
-            shapes = [None, None, None]
-            for masks in tuples[m]:
-                x = masks[-1]
-                head = masks[:-1]
-                x1 = 0
-                while True:  # submasks of x in ascending order
-                    kind = 0 if x1 == 0 else 2 if x1 == x else 1
-                    shape = shapes[kind]
-                    if shape is None:
-                        members = dict(slot)
-                        if kind:
-                            members[j1] = m - 1
-                        if kind < 2:
-                            members[j2] = m
-                        shape = shapes[kind] = _split_shape(members, boxes)
-                        max_components = max(max_components, shape[0])
-                    if satisfied(shape, head + (x1, x ^ x1)):
-                        table[key, masks] = x1
-                        break
-                    if x1 == x:
-                        break
-                    x1 = (x1 - x) & x
+    full = (1 << ell) - 1
+    placed = None
+    try:
+        for steps, step in enumerate(seq, 1):
+            j1, j2, j = step
+            graph.merge(step)
+            for key in connected_sets(graph, j, ell):
+                m = len(key)  # key[-1] == j, the newest rectangle
+                slot = {r: t for t, r in enumerate(key[:-1])}
+                # splits send labels to j2 only, to both children, or to j1
+                # only; slot m - 1 holds j1's part and slot m holds j2's
+                shapes = [None, None, None]
+                for masks in tuples[m]:
+                    x = masks[-1]
+                    head = masks[:-1]
+                    x1 = 0
+                    while True:  # submasks of x in ascending order
+                        kind = 0 if x1 == 0 else 2 if x1 == x else 1
+                        shape = shapes[kind]
+                        if shape is None:
+                            members = dict(slot)
+                            if kind:
+                                members[j1] = m - 1
+                            if kind < 2:
+                                members[j2] = m
+                            shape = shapes[kind] = _split_shape(members, boxes)
+                            max_components = max(max_components, shape[0])
+                        if satisfied(shape, head + (x1, x ^ x1)):
+                            table[key, masks] = x1
+                            if sum(masks) == full:  # disjoint parts: their union
+                                raise _Placed(key, masks)
+                            break
+                        if x1 == x:
+                            break
+                        x1 = (x1 - x) & x
+    except _Placed as hit:
+        placed = hit.args
 
     if stats is not None:
         stats["entries"] = len(table)
         stats["max_components"] = max_components
-
-    full = (1 << ell) - 1
-    root = n + len(seq)
-    if ((root,), (full,)) not in table:
+        stats["steps"] = steps
+    if placed is None:
         return None
 
     # re-descend the recorded winning splits to a concrete embedding
+    key, masks = placed
     emb: Embedding = {}
-    stack: List[Tuple[Tuple[int, ...], Dict[int, int]]] = [((root,), {root: full})]
+    stack: List[Tuple[Tuple[int, ...], Dict[int, int]]] = [(key, dict(zip(key, masks)))]
     while stack:
         key, parts = stack.pop()
         if len(key) == 1 and key[0] <= n:

@@ -1,7 +1,9 @@
 """Visibility graphs and the decomposition-driven matcher."""
 
+import hashlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -30,6 +32,7 @@ from permpat import (
     verify_embedding,
     width_of_decomposition,
 )
+from permpat.decompose import _stall_free_budget
 
 
 def test_initial_graph_is_edgeless():
@@ -111,7 +114,7 @@ def test_find_pattern_worked_example():
     pi = parse_permutation("3 2 1 5 6 7 4")
     seq = build_decomposition(pi, 2).seq
     emb = find_pattern(sigma, pi, seq)
-    assert emb == {1: 3, 2: 6, 3: 7}
+    assert emb == {1: 3, 2: 4, 3: 7}  # values 1 5 4
     assert find_pattern(parse_permutation("4 3 2 1"), pi, seq) is None
 
 
@@ -139,7 +142,28 @@ def test_component_split_instance_exercises_multiway_recombination():
     emb = find_pattern(sigma, pi, seq, stats=stats)
     assert (emb is None) == (brute_force_match(sigma, pi) is None)
     assert stats["max_components"] == 4
-    assert stats["entries"] == 423
+    assert stats["entries"] == 127
+
+
+def test_absent_patterns_keep_their_tables():
+    # separable targets avoid 2 4 1 3 and 3 1 4 2, so no entry places every
+    # label and the sweep runs to the end: the digest of the answers, entry
+    # counts and component maxima is the one the full sweep gave
+    h = hashlib.sha1()
+    for pat in ("2 4 1 3", "3 1 4 2"):
+        sigma = parse_permutation(pat)
+        for n in (5, 12, 20, 40, 60):
+            for s in range(4):
+                pi = random_separable(n, s)
+                seqs = [build_decomposition(pi, d=_stall_free_budget(n)).seq]
+                if n <= 20:
+                    seqs.append(random_merge_sequence(n, random.Random(s)))
+                for seq in seqs:
+                    stats = {}
+                    got = find_pattern(sigma, pi, seq, stats=stats)
+                    assert got is None
+                    h.update(repr((got, stats["entries"], stats["max_components"])).encode())
+    assert h.hexdigest() == "b58d6129d4bea4eda57d557771f15e12f55db57c"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -157,10 +181,25 @@ def test_find_pattern_agrees_with_brute_force_on_any_complete_sequence(
         seq = build_decomposition(pi, 2).seq
     else:
         seq = monotone_decomposition(pi, greedy_monotone_partition(pi))
-    got = find_pattern(sigma, pi, seq)
+    stats = {}
+    got = find_pattern(sigma, pi, seq, stats=stats)
     assert (got is None) == (brute_force_match(sigma, pi) is None)
-    if got is not None:
+    if got is None:
+        # without an embedding the sweep runs every step (no sweep at l > n)
+        assert len(sigma) > len(pi) or stats["steps"] == len(seq)
+    else:
         assert verify_embedding(sigma, pi, got)
+
+
+@pytest.mark.parametrize("pattern, n, seed", [("1 3 2", 200, 1), ("2 1", 1000, 2),
+                                              ("3 1 4 2", 60, 3)])
+def test_a_present_pattern_ends_the_sweep_early(pattern, n, seed):
+    sigma, pi = parse_permutation(pattern), random_permutation(n, seed)
+    seq = build_decomposition(pi, d=_stall_free_budget(n)).seq
+    stats = {}
+    emb = find_pattern(sigma, pi, seq, stats=stats)
+    assert emb is not None and verify_embedding(sigma, pi, emb)
+    assert stats["steps"] < len(seq)
 
 
 def test_witness_checks_survive_optimized_mode():
@@ -285,6 +324,14 @@ def test_match_auto_builds_at_the_stall_free_budget_only_below_the_paper_one(
     with pytest.raises(_Spied):
         match_auto(parse_permutation("1 2"), pi)
     assert calls == [((pi, *args), kwargs)]
+
+
+def test_match_auto_finds_a_2_pattern_below_the_grid_exit_size():
+    # d0(20000) = 200 <= 4 f(2), so this runs the DP on a complete sequence
+    # of width near 200; the first merge of a descent ends the sweep
+    sigma, pi = parse_permutation("2 1"), random_permutation(20000, 1)
+    emb = match_auto(sigma, pi)
+    assert emb is not None and verify_embedding(sigma, pi, emb)
 
 
 def test_match_auto_through_the_grid_branch():
