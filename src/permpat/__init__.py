@@ -21,13 +21,10 @@ from .core import (
     format_embedding,
     format_grid_witness,
     format_merge_sequence,
-    parse_embedding,
-    parse_grid_witness,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
     random_separable,
-    reduce,
     validate_merge_sequence,
     verify_embedding,
     verify_grid,
@@ -42,26 +39,19 @@ from .decompose import (
 from .griddetect import (
     PointSet,
     f_bound,
-    find_blocks,
     find_grid,
-    find_grid_or_reduce,
     format_point_set,
     parse_point_set,
 )
 from .matcher import (
-    VisibilityGraph,
-    connected_sets,
     find_pattern,
     match_auto,
 )
 from .monotone import (
     MonotonePartition,
-    PatternAssignment,
-    format_monotone_partition,
     greedy_monotone_partition,
     parse_monotone_partition,
     poly_space_match,
-    sigma_pi_embedding,
     t_monotone_match,
     validate_monotone_partition,
 )
@@ -82,35 +72,27 @@ __all__ = [
     "MergeStep",
     "MonotonePartition",
     "ParseError",
-    "PatternAssignment",
     "Permutation",
     "Point",
     "PointSet",
     "SizeCapError",
     "ValidationError",
-    "VisibilityGraph",
     "brute_force_grid",
     "brute_force_match",
     "build_decomposition",
     "canonical_grid",
-    "connected_sets",
     "exact_width",
     "f_bound",
-    "find_blocks",
     "find_grid",
-    "find_grid_or_reduce",
     "find_pattern",
     "first_violation",
     "format_embedding",
     "format_grid_witness",
     "format_merge_sequence",
-    "format_monotone_partition",
     "format_point_set",
     "greedy_monotone_partition",
     "grid_search",
     "match_auto",
-    "parse_embedding",
-    "parse_grid_witness",
     "parse_merge_sequence",
     "parse_monotone_partition",
     "parse_permutation",
@@ -118,8 +100,6 @@ __all__ = [
     "poly_space_match",
     "random_permutation",
     "random_separable",
-    "reduce",
-    "sigma_pi_embedding",
     "t_monotone_match",
     "validate_merge_sequence",
     "validate_monotone_partition",

@@ -8,9 +8,11 @@ the two coordinate orders, so any point set in general position stands
 for the permutation ``reduce`` gives it: its y-ranks read in x-order.
 
 Also provided: merge sequences (the protocol objects of the width
-machinery), grid witnesses, and parsers/formatters for the one-line text
-interchange formats.  ``Point``s appear only where the formats and the
-grid witnesses need coordinates.
+machinery) and grid witnesses, whose constructors accept only int
+fields, and the text formats: parsers for the permutation and merge
+sequence formats the CLI reads, formatters for the permutation, merge
+sequence, embedding and grid witness formats it writes.  ``Point``s
+appear only where the formats and the grid witnesses need coordinates.
 """
 
 from __future__ import annotations
@@ -91,6 +93,15 @@ class Permutation:
         return "Permutation(<%d points>)" % len(self)
 
 
+def _int_fields(fields: Iterable[int], count: int, what: str) -> Tuple[int, ...]:
+    """``fields`` as a tuple, which must hold exactly ``count`` ints (the
+    type test ``Permutation`` makes: no bools, no floats)."""
+    t = tuple(fields)
+    if len(t) != count or any(type(v) is not int for v in t):
+        raise ValidationError("%s must be %d ints, got %r" % (what, count, t))
+    return t
+
+
 class MergeStep(NamedTuple):
     """Replace rectangles i and j by their bounding box, indexed k."""
 
@@ -107,7 +118,7 @@ class MergeSequence:
     steps: Tuple[MergeStep, ...]
 
     def __init__(self, steps: Iterable[Sequence[int]]):
-        norm = tuple(MergeStep(int(a), int(b), int(c)) for (a, b, c) in steps)
+        norm = tuple(MergeStep(*_int_fields(s, 3, "merge step")) for s in steps)
         object.__setattr__(self, "steps", norm)
 
     @classmethod
@@ -144,16 +155,19 @@ class GridWitness:
     witnesses: Tuple[Tuple[Point, ...], ...]
 
     def __init__(self, col_cuts, row_cuts, witnesses):
-        cc = tuple(int(c) for c in col_cuts)
-        rc = tuple(int(c) for c in row_cuts)
+        cc = tuple(col_cuts)
+        rc = tuple(row_cuts)
         for cuts, what in ((cc, "column"), (rc, "row")):
+            if any(type(c) is not int for c in cuts):
+                raise ValidationError("%s cuts must be ints, got %r" % (what, cuts))
             if any(b <= a for a, b in zip(cuts, cuts[1:])):
                 raise ValidationError("%s cuts must be strictly increasing: %r" % (what, cuts))
         if len(cc) != len(rc):
             raise ValidationError(
                 "cut counts differ: %d column cuts vs %d row cuts" % (len(cc), len(rc)))
         r = len(cc) + 1
-        wt = tuple(tuple(Point(int(p[0]), int(p[1])) for p in row) for row in witnesses)
+        wt = tuple(tuple(Point(*_int_fields(p, 2, "witness point")) for p in row)
+                   for row in witnesses)
         if len(wt) != r or any(len(row) != r for row in wt):
             raise ValidationError("witness matrix must be %d x %d" % (r, r))
         object.__setattr__(self, "col_cuts", cc)
@@ -215,39 +229,6 @@ def format_merge_sequence(seq: MergeSequence) -> str:
     return "\n".join("%d %d %d" % (s.i, s.j, s.k) for s in seq)
 
 
-def parse_grid_witness(text: str) -> GridWitness:
-    """Parse ``cols:`` / ``rows:`` cut lines followed by r*r ``x y`` witness
-    lines in row-major order (rows bottom-to-top)."""
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
-    if len(lines) < 3:
-        raise ParseError("grid witness needs a cols: line, a rows: line and witness points")
-    if not lines[0].startswith("cols:") or not lines[1].startswith("rows:"):
-        raise ParseError("grid witness must start with 'cols:' then 'rows:' lines")
-    try:
-        col_cuts = [int(t) for t in lines[0][len("cols:"):].split()]
-        row_cuts = [int(t) for t in lines[1][len("rows:"):].split()]
-    except ValueError:
-        raise ParseError("non-integer cut value in grid witness header") from None
-    r = len(col_cuts) + 1
-    pts = lines[2:]
-    if len(pts) != r * r:
-        raise ParseError("expected %d witness points, got %d" % (r * r, len(pts)))
-    rows = []
-    for j in range(r):
-        row = []
-        for i in range(r):
-            parts = pts[j * r + i].split()
-            if len(parts) != 2:
-                raise ParseError("bad witness point line %r" % (pts[j * r + i],))
-            try:
-                row.append(Point(int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError("non-integer coordinate in witness point line %r"
-                                 % (pts[j * r + i],)) from None
-        rows.append(tuple(row))
-    return GridWitness(col_cuts, row_cuts, rows)
-
-
 def format_grid_witness(w: GridWitness) -> str:
     lines = ["cols: " + " ".join(str(c) for c in w.col_cuts),
              "rows: " + " ".join(str(c) for c in w.row_cuts)]
@@ -255,25 +236,6 @@ def format_grid_witness(w: GridWitness) -> str:
         for p in row:
             lines.append("%d %d" % (p.x, p.y))
     return "\n".join(lines)
-
-
-def parse_embedding(text: str) -> Embedding:
-    emb: Embedding = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("line %d: expected 'pattern-label target-label'" % lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("line %d: non-integer label" % lineno) from None
-        if a in emb:
-            raise ParseError("line %d: duplicate pattern label %d" % (lineno, a))
-        emb[a] = b
-    return emb
 
 
 def format_embedding(emb: Embedding) -> str:

@@ -40,7 +40,12 @@ class PointSet:
         p, q = int(p), int(q)
         if p < 0 or q < 0:
             raise ValidationError("box dimensions must be nonnegative, got %d x %d" % (p, q))
-        pts = tuple([Point(int(a[0]), int(a[1])) for a in points])
+        pts = []
+        for a in points:
+            if len(a) != 2:
+                raise ValidationError("point must have 2 fields, got %r" % (a,))
+            pts.append(Point(int(a[0]), int(a[1])))
+        pts = tuple(pts)
         if pts:
             xs = [pt[0] for pt in pts]
             ys = [pt[1] for pt in pts]

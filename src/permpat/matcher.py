@@ -104,15 +104,6 @@ class VisibilityGraph:
     def neighbor_set(self, v: int) -> Set[int]:
         return self._adj[v]
 
-    def neighbors(self, v: int) -> List[int]:
-        """Sorted list of rectangles viewing v along some axis."""
-        if v not in self:
-            raise ValidationError("vertex %d is not live" % v)
-        return sorted(self.neighbor_set(v))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbor_set(v))
-
     # -- update -------------------------------------------------------------
 
     def _unlink(self, axis: int, pos: int) -> None:

@@ -1,6 +1,8 @@
 """Fast matching when the target splits into few monotone subsequences.
 
-Two layers build on a t-monotone partition of the target:
+A partition comes from ``greedy_monotone_partition`` or, for the CLI's
+``--partition`` file, from ``parse_monotone_partition``.  Two layers
+build on a t-monotone partition of the target:
 
 * ``sigma_pi_embedding`` solves the class-respecting embedding problem:
   once every pattern label is committed to a class, the image of a label
@@ -74,14 +76,6 @@ class MonotonePartition:
     def t(self) -> int:
         return len(self.classes)
 
-    def class_of(self) -> Dict[int, int]:
-        """Label -> 1-based class index."""
-        out: Dict[int, int] = {}
-        for idx, (labels, _) in enumerate(self.classes, start=1):
-            for s in labels:
-                out[s] = idx
-        return out
-
 
 def parse_monotone_partition(text: str) -> MonotonePartition:
     """One class per line: ``inc|dec: label label ...``; blank lines and
@@ -97,20 +91,13 @@ def parse_monotone_partition(text: str) -> MonotonePartition:
         try:
             labels = tuple(int(tok) for tok in rest.split())
         except ValueError:
-            raise ParseError("line %d: labels must be integers" % lineno)
+            raise ParseError("line %d: labels must be integers" % lineno) from None
         if not labels:
             raise ParseError("line %d: empty class" % lineno)
         classes.append((labels, head.strip()))
     if not classes:
         raise ParseError("no classes found")
     return MonotonePartition(tuple(classes))
-
-
-def format_monotone_partition(part: MonotonePartition) -> str:
-    lines = []
-    for labels, direction in part.classes:
-        lines.append("%s: %s" % (direction, " ".join(str(s) for s in labels)))
-    return "\n".join(lines) + "\n"
 
 
 def _is_monotone(ys: Sequence[int], direction: str) -> bool:

@@ -1,10 +1,13 @@
 """Shared instance generators and test-only reference code.
 
 Besides the generators, this module holds what only the tests call: the
-canonical grid's row-sweep decomposition, substitution, the (6t-5)-wide
-decomposition of a t-monotone target, the raw constraint relations of
-the class-respecting embedding problem with their median, close pairs,
-the tree characterization of d-wide sequences, and separability.
+readers of the embedding and grid witness formats and the writer of the
+monotone partition format (no CLI command reads the first two or writes
+the third), a partition's label -> class map, the canonical grid's
+row-sweep decomposition, substitution, the (6t-5)-wide decomposition of
+a t-monotone target, the raw constraint relations of the
+class-respecting embedding problem with their median, close pairs, the
+tree characterization of d-wide sequences, and separability.
 """
 
 import itertools
@@ -12,16 +15,20 @@ import random
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from permpat import (
+    Embedding,
+    GridWitness,
     MergeSequence,
     MonotonePartition,
-    PatternAssignment,
+    ParseError,
     Permutation,
+    Point,
     SizeCapError,
     ValidationError,
     validate_merge_sequence,
     validate_monotone_partition,
 )
 from permpat.matcher import Box
+from permpat.monotone import PatternAssignment
 
 
 def random_t_monotone(n: int, t: int, rng: random.Random) -> Tuple[Permutation, MonotonePartition]:
@@ -65,6 +72,78 @@ def random_merge_sequence(n: int, rng: random.Random) -> MergeSequence:
         live.remove(j)
         live.append(k)
     return MergeSequence(steps)
+
+
+# ---------------------------------------------------------------------------
+# text formats no CLI command reads or writes
+# ---------------------------------------------------------------------------
+
+def parse_grid_witness(text: str) -> GridWitness:
+    """Parse ``cols:`` / ``rows:`` cut lines followed by r*r ``x y`` witness
+    lines in row-major order (rows bottom-to-top)."""
+    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
+    if len(lines) < 3:
+        raise ParseError("grid witness needs a cols: line, a rows: line and witness points")
+    if not lines[0].startswith("cols:") or not lines[1].startswith("rows:"):
+        raise ParseError("grid witness must start with 'cols:' then 'rows:' lines")
+    try:
+        col_cuts = [int(t) for t in lines[0][len("cols:"):].split()]
+        row_cuts = [int(t) for t in lines[1][len("rows:"):].split()]
+    except ValueError:
+        raise ParseError("non-integer cut value in grid witness header") from None
+    r = len(col_cuts) + 1
+    pts = lines[2:]
+    if len(pts) != r * r:
+        raise ParseError("expected %d witness points, got %d" % (r * r, len(pts)))
+    rows = []
+    for j in range(r):
+        row = []
+        for i in range(r):
+            parts = pts[j * r + i].split()
+            if len(parts) != 2:
+                raise ParseError("bad witness point line %r" % (pts[j * r + i],))
+            try:
+                row.append(Point(int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ParseError("non-integer coordinate in witness point line %r"
+                                 % (pts[j * r + i],)) from None
+        rows.append(tuple(row))
+    return GridWitness(col_cuts, row_cuts, rows)
+
+
+def parse_embedding(text: str) -> Embedding:
+    emb: Embedding = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("line %d: expected 'pattern-label target-label'" % lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("line %d: non-integer label" % lineno) from None
+        if a in emb:
+            raise ParseError("line %d: duplicate pattern label %d" % (lineno, a))
+        emb[a] = b
+    return emb
+
+
+def format_monotone_partition(part: MonotonePartition) -> str:
+    lines = []
+    for labels, direction in part.classes:
+        lines.append("%s: %s" % (direction, " ".join(str(s) for s in labels)))
+    return "\n".join(lines) + "\n"
+
+
+def class_of(part: MonotonePartition) -> Dict[int, int]:
+    """Label -> 1-based class index."""
+    out: Dict[int, int] = {}
+    for idx, (labels, _) in enumerate(part.classes, start=1):
+        for s in labels:
+            out[s] = idx
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ import sys
 import pytest
 
 import permpat
-from helpers import canonical_grid_decomposition, is_separable
+from helpers import (canonical_grid_decomposition, is_separable, parse_embedding,
+                     parse_grid_witness)
 from permpat import (
     canonical_grid,
     format_merge_sequence,
-    parse_embedding,
-    parse_grid_witness,
     parse_merge_sequence,
     parse_permutation,
     parse_point_set,

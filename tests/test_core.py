@@ -1,5 +1,6 @@
 """Core types, text formats, and combinatorial constructions."""
 
+import importlib
 import inspect
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat
-from helpers import is_separable, substitute
+from helpers import is_separable, parse_embedding, parse_grid_witness, substitute
 from permpat import (
+    GridWitness,
     MergeSequence,
     ParseError,
     Permutation,
@@ -18,17 +20,15 @@ from permpat import (
     canonical_grid,
     format_embedding,
     format_merge_sequence,
-    parse_embedding,
-    parse_grid_witness,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
     random_separable,
-    reduce,
     validate_merge_sequence,
     verify_embedding,
     verify_grid,
 )
+from permpat.core import reduce
 
 
 def test_parse_one_line():
@@ -244,3 +244,39 @@ def test_all_lists_exactly_the_public_names():
     public = {name for name, value in vars(permpat).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(names) - {"__version__"}
+    assert set(names) == {
+        "DecompositionResult", "Embedding", "GridWitness", "MergeSequence", "MergeStep",
+        "MonotonePartition", "ParseError", "Permutation", "Point", "PointSet",
+        "SizeCapError", "ValidationError", "brute_force_grid", "brute_force_match",
+        "build_decomposition", "canonical_grid", "exact_width", "f_bound", "find_grid",
+        "find_pattern", "first_violation", "format_embedding", "format_grid_witness",
+        "format_merge_sequence", "format_point_set", "greedy_monotone_partition",
+        "grid_search", "match_auto", "parse_merge_sequence", "parse_monotone_partition",
+        "parse_permutation", "parse_point_set", "poly_space_match", "random_permutation",
+        "random_separable", "t_monotone_match", "validate_merge_sequence",
+        "validate_monotone_partition", "verify_embedding", "verify_grid", "verify_wide",
+        "width_of_decomposition", "__version__"}
+    # the internal steps of one layer stay importable from their modules
+    for module, attr in [("core", "reduce"), ("griddetect", "find_blocks"),
+                         ("griddetect", "find_grid_or_reduce"), ("matcher", "connected_sets"),
+                         ("matcher", "VisibilityGraph"), ("monotone", "sigma_pi_embedding"),
+                         ("monotone", "PatternAssignment")]:
+        assert attr not in names
+        assert hasattr(importlib.import_module("permpat." + module), attr), (module, attr)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MergeSequence([(1, 2, 3.9)]),
+    lambda: MergeSequence([(True, 2, 3)]),
+    lambda: MergeSequence([(1, 2)]),
+    lambda: MergeSequence([(1, 2, 3, 4)]),
+    lambda: PointSet(3, 3, [(1, 2, 3)]),
+    lambda: PointSet(3, 3, [(1,)]),
+    lambda: GridWitness([1.7], [1], [[Point(1, 1), Point(2, 2)], [Point(1, 2), Point(2, 1)]]),
+    lambda: GridWitness([1], [False], [[Point(1, 1), Point(2, 2)], [Point(1, 2), Point(2, 1)]]),
+    lambda: GridWitness([1], [1], [[(1.0, 1), Point(2, 2)], [Point(1, 2), Point(2, 1)]]),
+    lambda: GridWitness([1], [1], [[(1, 1, 1), Point(2, 2)], [Point(1, 2), Point(2, 1)]]),
+])
+def test_checked_constructors_reject_non_int_fields_and_wrong_arity(make):
+    with pytest.raises(ValidationError):
+        make()

@@ -26,11 +26,11 @@ from permpat import (
     parse_permutation,
     random_permutation,
     random_separable,
-    reduce,
     validate_merge_sequence,
     verify_wide,
     width_of_decomposition,
 )
+from permpat.core import reduce
 from permpat.decompose import _replay_views, _stall_free_budget
 
 

@@ -11,14 +11,13 @@ from permpat import (
     PointSet,
     ValidationError,
     f_bound,
-    find_blocks,
     find_grid,
-    find_grid_or_reduce,
     format_point_set,
     grid_search,
     parse_point_set,
     verify_grid,
 )
+from permpat.griddetect import find_blocks, find_grid_or_reduce
 
 
 def test_f_bound_frozen_values():

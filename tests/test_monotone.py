@@ -9,29 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constraint_relations, mid_point, monotone_decomposition, random_t_monotone
+from helpers import (class_of, constraint_relations, format_monotone_partition, mid_point,
+                     monotone_decomposition, random_t_monotone)
 from permpat import (
     MonotonePartition,
     ParseError,
     Permutation,
     ValidationError,
     brute_force_match,
-    format_monotone_partition,
     greedy_monotone_partition,
     parse_monotone_partition,
     parse_permutation,
     poly_space_match,
     random_permutation,
     random_separable,
-    reduce,
-    sigma_pi_embedding,
     t_monotone_match,
     validate_monotone_partition,
     verify_embedding,
     verify_wide,
     width_of_decomposition,
 )
-from permpat.monotone import _TwoSat
+from permpat.core import reduce
+from permpat.monotone import _TwoSat, sigma_pi_embedding
 
 
 def test_partition_text_round_trip():
@@ -160,7 +159,7 @@ def test_sigma_pi_embedding_validates_assignment():
 def _class_respecting_exists(sigma, assign, pi, part):
     # exhaustive: images in x-order, each in its label's class, whose
     # values are ordered as the pattern's
-    cls = part.class_of()
+    cls = class_of(part)
     by_value = sorted(range(len(sigma)), key=lambda i: sigma.word[i])
     for images in itertools.combinations(range(1, len(pi) + 1), len(sigma)):
         if all(cls[p] == assign[s] for s, p in enumerate(images, 1)) and \
@@ -181,7 +180,7 @@ def test_sigma_pi_embedding_matches_exhaustive_class_respecting_search(seed):
     pi, part = random_t_monotone(n, rng.randint(1, min(3, n)), rng)
     ell = rng.randint(2, min(4, n))  # a single label meets no constraint
     images = sorted(rng.sample(range(1, n + 1), ell))
-    cls = part.class_of()
+    cls = class_of(part)
     if rng.random() < 0.5:
         sigma = reduce((p, pi.word[p - 1]) for p in images)
     else:

@@ -21,11 +21,11 @@ from permpat import (
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
-    reduce,
     verify_embedding,
     verify_grid,
     verify_wide,
 )
+from permpat.core import reduce
 
 
 def test_brute_force_match_examples():

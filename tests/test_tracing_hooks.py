@@ -1,5 +1,7 @@
-"""The traced benchmark reaches into the package by name; keep those names."""
+"""The traced benchmark reaches into the package by name; keep those names,
+and keep no public code that only the tests call."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -10,7 +12,8 @@ import pytest
 from permpat import (build_decomposition, canonical_grid, find_pattern, match_auto,
                      parse_permutation, random_permutation, random_separable)
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +65,43 @@ def test_traced_match_auto_counts_every_build(tracing):
             tracer.uninstall()
         assert tracer.counts["builds"] == len(queries)
         assert tracer.counts["grid_exits"] == grid_exits
+
+
+def _public_definitions(tree):
+    """(name, node) of each public top-level function or class and each
+    public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def test_public_code_has_a_caller_outside_the_tests(tracing):
+    # a name counts as called when code (not docstring text) names it
+    # outside its own definition, in the package or the benchmark
+    sources = sorted((ROOT / "src" / "permpat").glob("*.py"))
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    uses = []  # (name, path, line)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+    hooked = {attr for _, attr, _ in tracing.HOOKS}
+    uncalled = []
+    for path, tree in trees.items():
+        if path.parent.name != "permpat" or path.name in ("__init__.py", "oracle.py"):
+            continue
+        for name, node in _public_definitions(tree):
+            if name in hooked:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(used == name and not (where == path and line in inside)
+                       for used, where, line in uses):
+                uncalled.append("%s:%s" % (path.name, name))
+    assert uncalled == []
