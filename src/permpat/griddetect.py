@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
-from .core import GridWitness, ParseError, Point, ValidationError, verify_grid
+from .core import GridWitness, ParseError, Point, ValidationError, _int_fields, verify_grid
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -27,9 +27,10 @@ class PointSet:
     """Points inside the integer box [1..p] x [1..q], as (x, y) pairs.
 
     Unlike a permutation, rows and columns may hold several points;
-    exact duplicates are rejected.  The constructor checks its input and
-    makes every point a ``Point`` of ints; the sets the builder and the
-    grid finder make for themselves hold plain int pairs.
+    exact duplicates are rejected.  The constructor checks its input:
+    the box dimensions and both fields of every point must be exactly
+    ints, and every point becomes a ``Point``.  The sets the builder and
+    the grid finder make for themselves hold plain int pairs.
     """
 
     p: int
@@ -37,15 +38,10 @@ class PointSet:
     points: Tuple[Tuple[int, int], ...]
 
     def __init__(self, p: int, q: int, points):
-        p, q = int(p), int(q)
+        p, q = _int_fields((p, q), 2, "box dimensions")
         if p < 0 or q < 0:
             raise ValidationError("box dimensions must be nonnegative, got %d x %d" % (p, q))
-        pts = []
-        for a in points:
-            if len(a) != 2:
-                raise ValidationError("point must have 2 fields, got %r" % (a,))
-            pts.append(Point(int(a[0]), int(a[1])))
-        pts = tuple(pts)
+        pts = tuple(Point(*_int_fields(a, 2, "point")) for a in points)
         if pts:
             xs = [pt[0] for pt in pts]
             ys = [pt[1] for pt in pts]

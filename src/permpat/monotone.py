@@ -7,36 +7,35 @@ build on a t-monotone partition of the target:
 * ``sigma_pi_embedding`` solves the class-respecting embedding problem:
   once every pattern label is committed to a class, the image of a label
   is just a position along its class, and every pairwise order constraint
-  becomes a staircase over two class orders — expressible with threshold
-  booleans ("position of x is at least v") and 2SAT implications.
+  is monotone in the two positions.  Each label keeps a window of
+  positions, and ``_narrow`` tightens the windows by the constraints,
+  each a ``bisect`` against the other label's extreme coordinate, until
+  nothing changes; an empty window refutes the commitment.  Otherwise a
+  binary search per label, in label order, fixes the least position that
+  narrows without emptying a window, which gives the lexicographically
+  least embedding without backtracking.
 * ``t_monotone_match`` enumerates the class commitments (base-t counter
-  over pattern labels) around the 2SAT solver, and ``poly_space_match``
-  feeds it the greedy partition, whose class count never exceeds
-  2*ceil(sqrt(n)) because a longest monotone subsequence of m points has
-  at least ceil(sqrt(m)) of them.
+  over pattern labels), and ``poly_space_match`` feeds it the greedy
+  partition, whose class count never exceeds 2*ceil(sqrt(n)) because a
+  longest monotone subsequence of m points has at least ceil(sqrt(m)) of
+  them.
 
-Most commitments have no embedding, so a cheap necessary check runs
-before any 2SAT instance is built.  ``_bounds_refute`` keeps a window of
-positions per committed label and narrows it by the order constraints,
-each a ``bisect`` against the other label's extreme coordinate, until
-nothing changes; an empty window refutes the commitment.  It runs on
-every complete commitment inside ``sigma_pi_embedding`` and on every
-prefix of two or more labels inside ``t_monotone_match``, which is forward
-checking in the CSP view of pattern matching.  The constraints of a prefix
-are a subset of those of its completions, so a refuted prefix has no
-solution below it, and a commitment the check lets through is solved
-exactly as without it: the first embedding found does not change.
+Most commitments have no embedding.  ``_bounds_refute`` runs the
+narrowing on every prefix of two or more labels inside
+``t_monotone_match``, which is forward checking in the CSP view of
+pattern matching.  The constraints of a prefix are a subset of those of
+its completions, so a refuted prefix has no solution below it, and the
+first embedding found does not change.
 
 No dynamic-programming tables are kept, so memory stays polynomial.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from operator import neg
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     Embedding,
@@ -179,142 +178,19 @@ def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
 
 
 # ---------------------------------------------------------------------------
-# class-respecting embedding via threshold 2SAT
+# class-respecting embedding by narrowing position windows
 # ---------------------------------------------------------------------------
 
-class _TwoSat:
-    """Implication-graph 2SAT; literal 2v asserts variable v, literal
-    2v+1 denies it.  Solved by one iterative Tarjan pass; a variable is
-    true when its asserting literal lands in a later (more sink-ward,
-    hence lower-numbered) strongly connected component."""
-
-    def __init__(self, nvars: int):
-        self.n = nvars
-        self.adj: List[List[int]] = [[] for _ in range(2 * nvars)]
-
-    def imply(self, a: int, b: int) -> None:
-        self.adj[a].append(b)
-        self.adj[b ^ 1].append(a ^ 1)
-
-    def unit(self, a: int) -> None:
-        self.adj[a ^ 1].append(a)
-
-    def solve(self) -> Optional[List[bool]]:
-        n2 = 2 * self.n
-        num = [0] * n2
-        low = [0] * n2
-        comp = [-1] * n2
-        on = [False] * n2
-        stack: List[int] = []
-        counter = itertools.count(1)
-        ncomp = 0
-        for root in range(n2):
-            if num[root]:
-                continue
-            num[root] = low[root] = next(counter)
-            stack.append(root)
-            on[root] = True
-            call: List[Tuple[int, Iterator[int]]] = [(root, iter(self.adj[root]))]
-            while call:
-                v, it = call[-1]
-                advanced = False
-                for w in it:
-                    if not num[w]:
-                        num[w] = low[w] = next(counter)
-                        stack.append(w)
-                        on[w] = True
-                        call.append((w, iter(self.adj[w])))
-                        advanced = True
-                        break
-                    if on[w] and num[w] < low[v]:
-                        low[v] = num[w]
-                if advanced:
-                    continue
-                call.pop()
-                if call:
-                    pv = call[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                if low[v] == num[v]:
-                    while True:
-                        w = stack.pop()
-                        on[w] = False
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-        out = []
-        for v in range(self.n):
-            if comp[2 * v] == comp[2 * v + 1]:
-                return None
-            out.append(comp[2 * v] < comp[2 * v + 1])
-        return out
-
-
-_TRUE = -1
-_FALSE = -2
-
-
-def _staircase(ts: _TwoSat, guards: List[int], A: Sequence[int], B: Sequence[int],
-               dir_a: int, dir_b: int, lits_b: List[int]) -> bool:
-    """Compile the constraint "coordinate of x < coordinate of y" over two
-    class orders into implications between threshold literals.
-
-    ``A``/``B`` list the coordinate per class position; ``dir_a``/``dir_b``
-    say whether that coordinate grows (+1) or shrinks (-1) with position.
-    ``guards[p-1]`` is the literal triggered exactly when x's position
-    makes row p the binding one; ``lits_b[v-2]`` asserts "position of
-    y >= v".  Returns False when the constraint is unsatisfiable outright.
-    """
-    a, b = len(A), len(B)
-    positions = range(1, a + 1) if dir_a > 0 else range(a, 0, -1)
-    if dir_b > 0:
-        q0 = 1
-    else:
-        q1 = b
-    for p in positions:
-        val = A[p - 1]
-        if dir_b > 0:
-            while q0 <= b and B[q0 - 1] <= val:
-                q0 += 1
-            lit = _FALSE if q0 > b else (_TRUE if q0 == 1 else lits_b[q0 - 2])
-        else:
-            while q1 >= 1 and B[q1 - 1] <= val:
-                q1 -= 1
-            lit = _FALSE if q1 == 0 else (_TRUE if q1 == b else lits_b[q1 + 1 - 2] ^ 1)
-        guard = guards[p - 1]
-        if lit == _TRUE:
-            continue
-        if guard == _TRUE:
-            if lit == _FALSE:
-                return False
-            ts.unit(lit)
-        elif lit == _FALSE:
-            ts.unit(guard ^ 1)
-        else:
-            ts.imply(guard, lit)
-    return True
-
-
-def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
-                   coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
-                   dirs: Sequence[str]) -> bool:
-    """Whether interval propagation proves that the committed labels
-    (the keys of ``assign``) have no class-respecting embedding.
-
-    Each label keeps a window [lo, hi] of 0-based positions in its class.
-    Every pairwise order constraint says "coordinate of u < coordinate of
-    w", and both coordinates are monotone in position, so one ``bisect``
-    against the other label's extreme value over its window tightens one
-    end: u's coordinate must stay below w's largest, and w's above u's
-    smallest.  Rules run until no window changes; an empty window proves
-    that no embedding exists.  Every rule is a necessary condition, so a
-    satisfiable assignment is never refuted.  ``coords[c-1]`` holds class
-    c's x- and y-coordinates by position for every class in use.
-    """
+def _narrowing_rules(sw: Sequence[int], assign: PatternAssignment,
+                     coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
+                     dirs: Sequence[str]) -> List[tuple]:
+    """The pairwise order constraints between the committed labels (the
+    keys of ``assign``), each as ``(u, w, A, B, inc_a, inc_b)``: "coordinate
+    of u < coordinate of w", where ``A``/``B`` list the coordinate by
+    position in u's/w's class and ``inc_a``/``inc_b`` say whether it grows
+    with position.  ``coords[c-1]`` holds class c's x- and y-coordinates by
+    position for every class in use."""
     labels = sorted(assign)  # in x-order
-    lo = dict.fromkeys(labels, 0)
-    hi = {s: len(coords[assign[s] - 1][0]) - 1 for s in labels}
     rules = []
     for i, x in enumerate(labels):
         for y in labels[i + 1:]:
@@ -324,6 +200,18 @@ def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
                 rules.append((u, w, coords[cu][alpha], coords[cw][alpha],
                               alpha == 0 or dirs[cu] == INCREASING,
                               alpha == 0 or dirs[cw] == INCREASING))
+    return rules
+
+
+def _narrow(rules: Sequence[tuple], lo: Dict[int, int], hi: Dict[int, int]) -> bool:
+    """Narrow every label's window [lo, hi] of 0-based class positions in
+    place until no rule changes one; False as soon as a window empties.
+
+    Both coordinates of a rule are monotone in position, so one ``bisect``
+    against the other label's extreme value over its window tightens one
+    end: u's coordinate must stay below w's largest, and w's above u's
+    smallest.  Every rule is a necessary condition, so no position of a
+    solution inside the windows is ever cut."""
     changed = True
     while changed:
         changed = False
@@ -340,7 +228,7 @@ def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
                     lo[u] = p
                     changed = True
             if lo[u] > hi[u]:
-                return True
+                return False
             bottom = A[lo[u]] if inc_a else A[hi[u]]  # u's smallest coordinate
             if inc_b:
                 p = bisect_right(B, bottom)
@@ -353,20 +241,46 @@ def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
                     hi[w] = p
                     changed = True
             if lo[w] > hi[w]:
-                return True
-    return False
+                return False
+    return True
+
+
+def _full_windows(assign: PatternAssignment,
+                  coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]]
+                  ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Each committed label's window over all of its class's positions."""
+    return (dict.fromkeys(assign, 0),
+            {s: len(coords[c - 1][0]) - 1 for s, c in assign.items()})
+
+
+def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
+                   coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
+                   dirs: Sequence[str]) -> bool:
+    """Whether narrowing the position windows proves that the committed
+    labels (the keys of ``assign``) have no class-respecting embedding."""
+    lo, hi = _full_windows(assign, coords)
+    return not _narrow(_narrowing_rules(sw, assign, coords, dirs), lo, hi)
 
 
 def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
                        pi: Permutation, part: MonotonePartition,
                        stats: Optional[dict] = None) -> Optional[Embedding]:
-    """Embedding of sigma into pi sending each pattern label into its
-    assigned class, or None.  Filters class direction mismatches and
-    overfull classes first, then refutes by position-bounds propagation,
-    and only then solves the per-pair staircase constraints by 2SAT.
+    """The lexicographically least embedding of sigma into pi sending each
+    pattern label into its assigned class (its images, read in label
+    order, come first in ``itertools.combinations`` order), or None.
 
-    When ``stats`` is a dict, ``stats["refuted"]`` counts a refutation by
-    the bounds and ``stats["solves"]`` a 2SAT solve."""
+    Filters class direction mismatches and overfull classes first, then
+    narrows the position windows.  If no window empties, a binary search
+    per label, in label order, finds the least position whose trial bound
+    ("position <= mid") narrows without emptying a window.  Narrowing is
+    exactly unit propagation over the threshold 2SAT encoding of the
+    constraints (every clause links "position >= v" literals of two
+    labels), so by the Even-Itai-Shamir argument a trial that empties no
+    window keeps the commitment satisfiable, and no decision is undone.
+
+    When ``stats`` is a dict, ``stats["refuted"]`` counts a commitment the
+    first narrowing refutes and ``stats["solves"]`` one it lets through,
+    which the search then decides."""
     t = part.t
     labels = range(1, len(sigma) + 1)  # in x-order
     sw = sigma.word
@@ -390,57 +304,29 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
             return None  # direction mismatch
     # x- and y-coordinates by class position, for the classes in use
     coords = {c - 1: (order[c - 1], [pw[s - 1] for s in order[c - 1]]) for c in sig_cls}
-    if _bounds_refute(sw, assign, coords, dirs):
+    rules = _narrowing_rules(sw, assign, coords, dirs)
+    lo, hi = _full_windows(assign, coords)
+    if not _narrow(rules, lo, hi):
         if stats is not None:
             stats["refuted"] = stats.get("refuted", 0) + 1
         return None
     if stats is not None:
         stats["solves"] = stats.get("solves", 0) + 1
 
-    # threshold booleans: b[(s, v)]  <=>  "s lands at class position >= v"
-    vid: Dict[Tuple[int, int], int] = {}
     for s in labels:
-        for v in range(2, len(order[assign[s] - 1]) + 1):
-            vid[(s, v)] = len(vid)
-    ts = _TwoSat(len(vid))
-    lits: Dict[int, List[int]] = {}
-    for s in labels:
-        ls = [2 * vid[(s, v)] for v in range(2, len(order[assign[s] - 1]) + 1)]
-        lits[s] = ls
-        for u, w in zip(ls, ls[1:]):
-            ts.imply(w, u)  # position >= v+1 entails position >= v
-
-    for x, y in itertools.combinations(labels, 2):
-        for alpha in (1, 2):
-            u, w = (x, y) if alpha == 1 or sw[x - 1] < sw[y - 1] else (y, x)
-            ci, cj = assign[u] - 1, assign[w] - 1
-            A = coords[ci][alpha - 1]
-            B = coords[cj][alpha - 1]
-            dir_a = 1 if (alpha == 1 or dirs[ci] == INCREASING) else -1
-            dir_b = 1 if (alpha == 1 or dirs[cj] == INCREASING) else -1
-            a = len(A)
-            if dir_a > 0:
-                guards = [_TRUE] + [lits[u][p - 2] for p in range(2, a + 1)]
+        while lo[s] < hi[s]:
+            mid = (lo[s] + hi[s]) // 2
+            trial_lo, trial_hi = dict(lo), dict(hi)
+            trial_hi[s] = mid
+            if _narrow(rules, trial_lo, trial_hi):
+                lo, hi = trial_lo, trial_hi
             else:
-                guards = [(lits[u][p + 1 - 2] ^ 1) for p in range(1, a)] + [_TRUE]
-            if not _staircase(ts, guards, A, B, dir_a, dir_b, lits[w]):
-                return None
-
-    values = ts.solve()
-    if values is None:
-        return None
-    emb: Embedding = {}
-    for s in labels:
-        members = order[assign[s] - 1]
-        p = 1
-        for v in range(2, len(members) + 1):
-            if values[vid[(s, v)]]:
-                p = v
-            else:
-                break
-        emb[s] = members[p - 1]
+                lo[s] = mid + 1
+                if not _narrow(rules, lo, hi):
+                    return None
+    emb: Embedding = {s: order[assign[s] - 1][lo[s]] for s in labels}
     if not verify_embedding(sigma, pi, emb):
-        raise AssertionError("internal: 2SAT solution failed verification")
+        raise AssertionError("internal: narrowed positions failed verification")
     return emb
 
 
@@ -458,7 +344,8 @@ def t_monotone_match(sigma: Permutation, pi: Permutation,
     When ``stats`` is a dict it receives four counts: ``leaves`` (complete
     commitments reached), ``pruned`` (prefixes refuted by the bounds),
     ``refuted`` (complete commitments refuted by the bounds) and
-    ``solves`` (2SAT solves)."""
+    ``solves`` (complete commitments the bounds let through, which the
+    search in ``sigma_pi_embedding`` then decides)."""
     validate_monotone_partition(pi, part)
     ell = len(sigma)
     sw = sigma.word

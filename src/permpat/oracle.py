@@ -19,6 +19,7 @@ from .core import (
     Point,
     SizeCapError,
     ValidationError,
+    _int_fields,
 )
 
 EXACT_WIDTH_CAP = 9     # states ~ Bell(n); n = 9 is ~21k states, still < 2 s
@@ -159,7 +160,7 @@ def grid_search(points: Sequence[Point], r: int) -> Optional[GridWitness]:
     in each cell is its lexicographically smallest point.  Exponential in
     r — callers cap the input size.
     """
-    pts = sorted(Point(int(p[0]), int(p[1])) for p in points)
+    pts = sorted(Point(*_int_fields(p, 2, "point")) for p in points)
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     if not pts:

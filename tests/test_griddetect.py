@@ -52,13 +52,24 @@ def test_point_set_validation():
         PointSet(-1, 2, [])
 
 
-def test_point_set_coerces_to_int_points():
-    ps = PointSet(3.0, 2, [(1, 1), [3.0, 2], Point(2, 1)])
+def test_point_set_rejects_non_int_fields():
+    # int fields in any pair type become Points; anything that is not
+    # exactly an int (a float, a bool) is rejected, not truncated
+    ps = PointSet(3, 2, [(1, 1), [3, 2], Point(2, 1)])
     assert ps.points == ((1, 1), (3, 2), (2, 1))
-    assert all(type(pt) is Point and type(pt.x) is int and type(pt.y) is int
-               for pt in ps.points)
-    assert (ps.p, ps.q) == (3, 2) and type(ps.p) is int
+    assert all(type(pt) is Point for pt in ps.points)
     assert len(PointSet(0, 0, [])) == 0
+    for make in (lambda: PointSet(3.0, 2, [(1, 1)]),
+                 lambda: PointSet(True, 3, [(1, 2)]),
+                 lambda: PointSet(3, 3, [(1.7, 2)]),
+                 lambda: PointSet(3, 3, [(True, 2)]),
+                 lambda: PointSet(3, 3, [[3.0, 2]])):
+        with pytest.raises(ValidationError, match="must be 2 ints"):
+            make()
+    with pytest.raises(ValidationError, match="must be 2 ints"):
+        grid_search([(1.5, 1)], 1)
+    with pytest.raises(ValidationError, match="must be 2 ints"):
+        grid_search([(1, 1), (2, False)], 1)
 
 
 def test_point_set_text_round_trip():

@@ -203,9 +203,9 @@ def test_a_present_pattern_ends_the_sweep_early(pattern, n, seed):
 
 def test_witness_checks_survive_optimized_mode():
     # under ``python -O`` a failed witness check must still raise, on the
-    # DP, on each of match_auto's three exits, on the 2SAT track, in the
-    # grid finder, in the builder's invariant check and in the t-monotone
-    # decomposition's pin bound
+    # DP, on each of match_auto's three exits, on the t-monotone track, in
+    # the grid finder, in the builder's invariant check and in the
+    # t-monotone decomposition's pin bound
     script = textwrap.dedent("""
         import sys
         import helpers
