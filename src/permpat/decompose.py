@@ -20,16 +20,29 @@ build cannot stall either, so ``match_auto`` builds at d0 instead and
 gets a complete sequence of width at most d0.  It loses no grid exit,
 because only a stall leads to one.
 
-``verify_wide`` / ``width_of_decomposition`` replay a sequence with two
-Fenwick trees per axis, counting the live rectangles' low and high
-endpoints.  A merged rectangle keeps one child's endpoint on each side, so
-a merge removes one endpoint from each tree and adds none, and its view
-count is two prefix sums.  Checking a claimed width costs O(n log n)
-regardless of how wide the rectangles get.
+``verify_wide`` / ``width_of_decomposition`` replay a sequence and count,
+per axis, the live rectangles' low and high endpoints by rank.  A merged
+rectangle keeps one child's endpoint on each side, so a merge retires one
+low and one high endpoint and adds none.  The new rectangle [L, R] sees
+the live lows up to R minus the live highs below L.  The counter keeps a
+bytearray of live lows and one of live highs, their counts per block of
+B = 512 ranks, and a Fenwick tree over the blocks holding lows minus
+highs, which starts at zero and changes only when the two retired
+endpoints lie in different blocks.  A rectangle spanning at most half
+the blocks is counted as the tree's prefix up to L - 1's block, the low
+counts of the blocks up to R's, and two partial-block counts; a wider one
+as all live rectangles minus the highs left of L and the lows right of
+R, from the block counts outside it.  A step thus costs O(log(n / B))
+Python operations plus O(B + n / B) element operations inside
+``bytearray.count`` and ``sum``, at most half the blocks per step: a
+whole replay is O(n log n + n B + n^2 / B) in the worst case, whatever
+the width.  The two axes are counted lazily, so ``first_violation``
+stops at the first step over budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -73,69 +86,95 @@ class DecompositionResult:
 # replay verification
 # ---------------------------------------------------------------------------
 
-def _axis_views(rank: List[int], seq: MergeSequence) -> List[int]:
+_BLOCK_SHIFT = 9  # a block of the replay's view counter spans 1 << 9 = 512 ranks
+
+
+def _axis_views(rank: List[int], seq: MergeSequence) -> Iterator[int]:
     """Per step, how many other live rectangles the new one overlaps on one
     axis; ``rank[l]`` is label l's rank (1..n) on that axis."""
     n = len(rank) - 1
     lo = rank + [0] * len(seq)  # rectangle index -> low and high endpoint
     hi = lo[:]
-    # Fenwick trees over rank space counting the live rectangles' low and
-    # high endpoints.  t[i] covers a block of i & -i positions; every rank
-    # starts occupied once, so t[i] = i & -i.
-    lot = [0] + [i & -i for i in range(1, n + 1)]
-    hit = lot[:]
-    out = []
+    s = _BLOCK_SHIFT
+    # live low and high endpoints by rank (every rank starts as both),
+    # their counts per block of 1 << s ranks, and a Fenwick tree over the
+    # blocks of live lows minus live highs, all zero at the start
+    lob = bytearray([0]) + bytearray([1]) * n
+    hib = lob[:]
+    nb = (n >> s) + 1
+    half = nb >> 1
+    locnt = [lob.count(1, b << s, (b + 1) << s) for b in range(nb)]
+    hicnt = locnt[:]
+    fen = [0] * (nb + 1)
     for i, j, k in seq:
         # k keeps the lower low and the higher high endpoint of its
-        # children, so only the other child's endpoint leaves each tree
+        # children, so only the other child's endpoints stop being live
         a, b = lo[i], lo[j]
         if a > b:
             a, b = b, a
         lo[k] = left = a
-        while b <= n:
-            lot[b] -= 1
-            b += b & -b
-        a, b = hi[i], hi[j]
-        if a < b:
-            a, b = b, a
+        lob[b] = 0
+        b >>= s
+        locnt[b] -= 1
+        a, c = hi[i], hi[j]
+        if a < c:
+            a, c = c, a
         hi[k] = right = a
-        while b <= n:
-            hit[b] -= 1
-            b += b & -b
-        # viewers: low end <= k's high end, minus those ending before k's
-        # low end, minus k itself
-        v = -1
-        while right:
-            v += lot[right]
-            right &= right - 1
-        left -= 1
-        while left:
-            v -= hit[left]
-            left &= left - 1
-        out.append(v)
-    return out
+        hib[c] = 0
+        c >>= s
+        hicnt[c] -= 1
+        if b != c:
+            # one block lost a low and another a high; within one block
+            # the two cancel
+            b += 1
+            while b <= nb:
+                fen[b] -= 1
+                b += b & -b
+            c += 1
+            while c <= nb:
+                fen[c] += 1
+                c += c & -c
+        bl = (left - 1) >> s
+        br = right >> s
+        # viewers: lows <= right minus highs < left, minus k itself
+        if bl == br:
+            v = lob.count(1, bl << s, right + 1) - hib.count(1, bl << s, left) - 1
+        elif br - bl <= half:
+            # the lows of the blocks from left - 1's to the one before right's
+            v = (sum(locnt[bl:br]) + lob.count(1, br << s, right + 1)
+                 - hib.count(1, bl << s, left) - 1)
+        else:
+            # k spans most blocks: of the 2n - 1 - k other live
+            # rectangles, count those wholly left or right of it instead
+            yield (2 * n - 1 - k - sum(hicnt[:bl]) - hib.count(1, bl << s, left)
+                   - sum(locnt[br + 1:]) - lob.count(1, right + 1, (br + 1) << s))
+            continue
+        # the blocks before left - 1's give lows minus highs at once
+        while bl:
+            v += fen[bl]
+            bl &= bl - 1
+        yield v
 
 
-def _replay_views(perm: Permutation, seq: MergeSequence) -> Iterator[Tuple[int, int, int]]:
-    """Yield (step number, x-views, y-views) of each newly created
-    rectangle, counted against the rectangles alive alongside it."""
+def _axis_pair(perm: Permutation, seq: MergeSequence) -> Tuple[Iterator[int], Iterator[int]]:
+    """Validate the whole sequence, then count its steps' x- and y-views
+    lazily, one iterator per axis."""
     n = len(perm)
     validate_merge_sequence(seq, n)
     # label l sits at x-rank l and y-rank word[l-1]
-    xr = list(range(n + 1))
-    yr = [0, *perm.word]
-    yield from zip(range(1, len(seq) + 1), _axis_views(xr, seq), _axis_views(yr, seq))
+    return _axis_views(list(range(n + 1)), seq), _axis_views([0, *perm.word], seq)
+
+
+def _replay_views(perm: Permutation, seq: MergeSequence) -> Iterator[Tuple[int, int, int]]:
+    """(step number, x-views, y-views) of each newly created rectangle,
+    counted against the rectangles alive alongside it."""
+    return zip(itertools.count(1), *_axis_pair(perm, seq))
 
 
 def width_of_decomposition(perm: Permutation, seq: MergeSequence) -> int:
     """Exact width of a merge sequence: one more than the largest view
     count over all created rectangles (1 for empty/singleton input)."""
-    best = 0
-    for _, v1, v2 in _replay_views(perm, seq):
-        v = v1 if v1 >= v2 else v2
-        if v > best:
-            best = v
-    return best + 1
+    return max(max(views, default=0) for views in _axis_pair(perm, seq)) + 1
 
 
 def verify_wide(perm: Permutation, seq: MergeSequence, d: int) -> bool:
@@ -148,7 +187,8 @@ def verify_wide(perm: Permutation, seq: MergeSequence, d: int) -> bool:
 def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[Tuple[int, int]]:
     """(step number, offending view count) of the first step whose new
     rectangle reaches d viewers on some axis; None when d-wide.  Raises
-    ValidationError when d < 1."""
+    ValidationError when d < 1 or the sequence is invalid anywhere, and
+    counts no step past the first violation."""
     if d < 1:
         raise ValidationError("view budget must be >= 1, got %d" % d)
     for p, v1, v2 in _replay_views(perm, seq):

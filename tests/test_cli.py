@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, payload formats, round trips."""
 
+import hashlib
 import os
 import pathlib
 import shutil
@@ -18,6 +19,7 @@ from permpat import (
     parse_permutation,
     parse_point_set,
     random_permutation,
+    random_separable,
     verify_embedding,
     verify_grid,
     verify_wide,
@@ -225,6 +227,28 @@ def test_verify_subcommand(capsys, tmp_path):
             code, out, err = run(capsys, "verify", "-t", text, "--seq", str(fn), "--d", d)
             assert (code, out) == (2, "")
             assert err == "error: view budget must be >= 1, got %s\n" % d
+
+
+def test_decompose_and_verify_output_digests(capsys, tmp_path):
+    # the stdout of the width replay with per-rank Fenwick trees, which
+    # the blocked view counter reproduces byte for byte
+    perm = random_separable(20000, 1).one_line()
+    code, out, _ = run(capsys, "decompose", "-t", perm, "--r", "2", "--verify")
+    assert code == 0 and out.endswith("\n# width 342 budget 384\n")
+    assert hashlib.sha1(out.encode()).hexdigest() == "203a270ae72931fa2d8b69b1067edf4740c85500"
+    fn = tmp_path / "seq.txt"
+    fn.write_text(out)
+    code, out, _ = run(capsys, "verify", "-t", perm, "--seq", str(fn), "--d", "100")
+    assert code == 1
+    assert hashlib.sha1(out.encode()).hexdigest() == "ceef80ecb86d931166ed8b021646642e67d245b7"
+
+
+def test_verify_subcommand_validates_past_the_first_violation(capsys, tmp_path):
+    fn = tmp_path / "seq.txt"
+    fn.write_text("2 1 5\n4 3 6\n5 5 7\n")
+    code, out, err = run(capsys, "verify", "-t", "3 1 4 2", "--seq", str(fn), "--d", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: step 3 ")
 
 
 def test_error_exit_codes(capsys):

@@ -30,6 +30,7 @@ from permpat import (
     verify_wide,
     width_of_decomposition,
 )
+import permpat.decompose
 from permpat.core import reduce
 from permpat.decompose import _replay_views, _stall_free_budget
 
@@ -252,3 +253,109 @@ def test_width_replay_agrees_with_a_naive_count(word, kind, rng):
     for d in range(1, width + 2):
         first = next(((p, max(v)) for p, v in enumerate(want, 1) if max(v) >= d), None)
         assert first_violation(perm, seq, d) == first
+
+
+def _naive_views(perm, seq):
+    """(x-views, y-views) of every step: the new box against every other
+    live box, in plane coordinates."""
+    box = {l: (p.x, p.x, p.y, p.y) for l, p in enumerate(perm.points, 1)}
+    out = []
+    for i, j, k in seq:
+        a, b = box.pop(i), box.pop(j)
+        x1, x2, y1, y2 = new = (min(a[0], b[0]), max(a[1], b[1]),
+                                min(a[2], b[2]), max(a[3], b[3]))
+        out.append((sum(o[0] <= x2 and x1 <= o[1] for o in box.values()),
+                    sum(o[2] <= y2 and y1 <= o[3] for o in box.values())))
+        box[k] = new
+    return out
+
+
+def _chains(n):
+    """Complete sequences whose rectangles span many blocks: a
+    left-to-right chain; a chain grown from the middle outward, alternately
+    to the left and the right; one from 1 + n absorbing labels alternately
+    from both ends; and the pairs (i, i + n/2), then chained left to right."""
+    def chain(first, rest):
+        steps = [(*first, n + 1)]
+        for k, label in enumerate(rest, n + 1):
+            steps.append((k, label, k + 1))
+        return MergeSequence(steps)
+
+    m = n // 2
+    outward, inward = [], []
+    for t in range(1, n):
+        if m - t >= 1:
+            outward.append(m - t)
+        if m + 1 + t <= n:
+            outward.append(m + 1 + t)
+        if 1 + t < n - t:
+            inward += [1 + t, n - t]
+        elif 1 + t == n - t:
+            inward.append(1 + t)
+    pairs = [(i, i + m, n + i) for i in range(1, m + 1)]
+    rest = list(range(n + 2, n + m + 1)) + ([n] if n % 2 else [])
+    acc = n + 1
+    for k, index in enumerate(rest, n + m + 1):
+        pairs.append((acc, index, k))
+        acc = k
+    return [chain((1, 2), range(3, n + 1)), chain((m, m + 1), outward),
+            chain((1, n), inward), MergeSequence(pairs)]
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3, 6])
+def test_width_replay_across_blocks_agrees_with_a_naive_count(monkeypatch, shift):
+    # blocks of 1 << shift ranks, so that rectangles span many blocks and
+    # the retired endpoints of a step often lie in different blocks
+    monkeypatch.setattr(permpat.decompose, "_BLOCK_SHIFT", shift)
+    rng = random.Random(shift)
+    for n in (2, 3, 17, 64, 65, 130, 300):
+        perm = random_permutation(n, rng.randrange(1 << 30))
+        seqs = _chains(n) + [random_merge_sequence(n, rng) for _ in range(3)]
+        for seq in seqs:
+            validate_merge_sequence(seq, n, require_complete=True)
+            want = _naive_views(perm, seq)
+            assert [(v1, v2) for _, v1, v2 in _replay_views(perm, seq)] == want
+            assert width_of_decomposition(perm, seq) == max(map(max, want)) + 1
+
+
+def test_width_replay_at_the_real_block_size_agrees_with_a_naive_count():
+    # n > 3 * 512: the rectangles span several of the counter's blocks
+    rng = random.Random(5)
+    n = 1700
+    perm = random_permutation(n, 5)
+    for seq in _chains(n) + [random_merge_sequence(n, rng)]:
+        want = _naive_views(perm, seq)
+        assert [(v1, v2) for _, v1, v2 in _replay_views(perm, seq)] == want
+
+
+def test_first_violation_stops_at_the_first_violating_step(monkeypatch):
+    perm = canonical_grid(2, 2)
+    seq = canonical_grid_decomposition(2, 2)
+    drawn = []
+    axis_views = permpat.decompose._axis_views
+
+    class Drawn:
+        """The steps, recording each one the view counter reads."""
+
+        def __init__(self, steps):
+            self.steps = steps
+
+        def __len__(self):
+            return len(self.steps)
+
+        def __iter__(self):
+            for step in self.steps:
+                drawn.append(step)
+                yield step
+
+    monkeypatch.setattr(permpat.decompose, "_axis_views",
+                        lambda rank, steps: axis_views(rank, Drawn(steps)))
+    assert first_violation(perm, seq, 1) == (1, 1)
+    assert drawn == [seq[0], seq[0]]  # step 1, once per axis
+    assert not verify_wide(perm, seq, 1)
+    # over budget at step 1, invalid at step 3: the whole sequence is
+    # still validated before any step is counted
+    bad = MergeSequence([(2, 1, 5), (4, 3, 6), (5, 5, 7)])
+    for check in (first_violation, verify_wide):
+        with pytest.raises(ValidationError, match="step 3"):
+            check(perm, bad, 1)
