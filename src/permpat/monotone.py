@@ -4,28 +4,29 @@ A partition comes from ``greedy_monotone_partition`` or, for the CLI's
 ``--partition`` file, from ``parse_monotone_partition``.  Two layers
 build on a t-monotone partition of the target:
 
-* ``sigma_pi_embedding`` solves the class-respecting embedding problem:
-  once every pattern label is committed to a class, the image of a label
-  is just a position along its class, and every pairwise order constraint
-  is monotone in the two positions.  Each label keeps a window of
-  positions, and ``_narrow`` tightens the windows by the constraints,
-  each a ``bisect`` against the other label's extreme coordinate, until
-  nothing changes; an empty window refutes the commitment.  Otherwise a
-  binary search per label, in label order, fixes the least position that
-  narrows without emptying a window, which gives the lexicographically
-  least embedding without backtracking.
-* ``t_monotone_match`` enumerates the class commitments (base-t counter
-  over pattern labels), and ``poly_space_match`` feeds it the greedy
-  partition, whose class count never exceeds 2*ceil(sqrt(n)) because a
-  longest monotone subsequence of m points has at least ceil(sqrt(m)) of
-  them.
-
-Most commitments have no embedding.  ``_bounds_refute`` runs the
-narrowing on every prefix of two or more labels inside
-``t_monotone_match``, which is forward checking in the CSP view of
-pattern matching.  The constraints of a prefix are a subset of those of
-its completions, so a refuted prefix has no solution below it, and the
-first embedding found does not change.
+* Once every pattern label is committed to a class, the image of a
+  label is just a position along its class, and every pairwise order
+  constraint is monotone in the two positions.  Each label keeps a
+  window of positions, and ``_narrow`` tightens the windows by the
+  constraints, each a ``bisect`` against the other label's extreme
+  coordinate, until nothing changes; an empty window refutes the
+  commitment.  Otherwise a binary search per label, in label order,
+  fixes the least position that narrows without emptying a window, which
+  gives the lexicographically least embedding without backtracking.
+* ``_search`` commits the labels to classes depth first and narrows at
+  every prefix, which is forward checking in the CSP view of pattern
+  matching.  A prefix keeps its narrowed windows, and the next label
+  starts from them plus its own full window.  Narrowing applies
+  monotone, shrinking bound operators, so it reaches the same greatest
+  fixpoint from any start that contains it, and a prefix's fixpoint
+  contains the projection of every completion's: the search refutes
+  exactly what narrowing from full windows refutes, and a refuted prefix
+  has no solution below it.  ``t_monotone_match`` lets every label take
+  every class (a base-t counter over the labels), ``sigma_pi_embedding``
+  one class per label, and ``poly_space_match`` feeds the former the
+  greedy partition, whose class count never exceeds 2*ceil(sqrt(n))
+  because a longest monotone subsequence of m points has at least
+  ceil(sqrt(m)) of them.
 
 No dynamic-programming tables are kept, so memory stays polynomial.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import neg
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Embedding,
@@ -178,32 +179,13 @@ def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
 
 
 # ---------------------------------------------------------------------------
-# class-respecting embedding by narrowing position windows
+# class-commitment search by narrowing position windows
 # ---------------------------------------------------------------------------
 
-def _narrowing_rules(sw: Sequence[int], assign: PatternAssignment,
-                     coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
-                     dirs: Sequence[str]) -> List[tuple]:
-    """The pairwise order constraints between the committed labels (the
-    keys of ``assign``), each as ``(u, w, A, B, inc_a, inc_b)``: "coordinate
-    of u < coordinate of w", where ``A``/``B`` list the coordinate by
-    position in u's/w's class and ``inc_a``/``inc_b`` say whether it grows
-    with position.  ``coords[c-1]`` holds class c's x- and y-coordinates by
-    position for every class in use."""
-    labels = sorted(assign)  # in x-order
-    rules = []
-    for i, x in enumerate(labels):
-        for y in labels[i + 1:]:
-            low, high = (x, y) if sw[x - 1] < sw[y - 1] else (y, x)
-            for alpha, u, w in ((0, x, y), (1, low, high)):
-                cu, cw = assign[u] - 1, assign[w] - 1
-                rules.append((u, w, coords[cu][alpha], coords[cw][alpha],
-                              alpha == 0 or dirs[cu] == INCREASING,
-                              alpha == 0 or dirs[cw] == INCREASING))
-    return rules
+_COUNTERS = ("pruned", "refuted", "solves")
 
 
-def _narrow(rules: Sequence[tuple], lo: Dict[int, int], hi: Dict[int, int]) -> bool:
+def _narrow(rules: Sequence[tuple], lo: List[int], hi: List[int]) -> bool:
     """Narrow every label's window [lo, hi] of 0-based class positions in
     place until no rule changes one; False as soon as a window empties.
 
@@ -245,89 +227,106 @@ def _narrow(rules: Sequence[tuple], lo: Dict[int, int], hi: Dict[int, int]) -> b
     return True
 
 
-def _full_windows(assign: PatternAssignment,
-                  coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]]
-                  ) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Each committed label's window over all of its class's positions."""
-    return (dict.fromkeys(assign, 0),
-            {s: len(coords[c - 1][0]) - 1 for s, c in assign.items()})
+def _search(sigma: Permutation, pi: Permutation, part: MonotonePartition,
+            options: Sequence[Sequence[int]], tally: Dict[str, int]) -> Optional[Embedding]:
+    """The first embedding over the class commitments that send each label
+    s to a class in ``options[s-1]``, tried depth first with label 1 most
+    significant and each label's options in the order given; None if
+    there is none.  ``tally`` counts the proper prefixes the bounds prune
+    and the complete commitments they refute or let through to a solve.
 
+    A label goes only to a class with room left whose restriction stays
+    monotone in its direction.  Committing label s adds the two rules
+    (x-order, and y-order between the lower- and higher-valued label)
+    linking it to each earlier label, each as ``(u, w, A, B, inc_a,
+    inc_b)``: "coordinate of u < coordinate of w", where ``A``/``B`` list
+    the coordinate by position in u's/w's class and ``inc_a``/``inc_b``
+    say whether it grows with position.  The prefix's narrowed windows,
+    with s's full window added, are narrowed again."""
+    ell = len(sigma)
+    sw = sigma.word
+    xs = [members for members, _ in part.classes]
+    ys = [[pi.word[m - 1] for m in members] for members in xs]
+    inc = [d == INCREASING for _, d in part.classes]
+    room = [len(members) for members in xs]
+    last = [0] * part.t  # last label committed to each class, 0 if none
+    cls = [0] * (ell + 1)  # 0-based class of each committed label
+    rules: List[tuple] = []
 
-def _bounds_refute(sw: Sequence[int], assign: PatternAssignment,
-                   coords: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
-                   dirs: Sequence[str]) -> bool:
-    """Whether narrowing the position windows proves that the committed
-    labels (the keys of ``assign``) have no class-respecting embedding."""
-    lo, hi = _full_windows(assign, coords)
-    return not _narrow(_narrowing_rules(sw, assign, coords, dirs), lo, hi)
+    def least(lo: List[int], hi: List[int]) -> Optional[Embedding]:
+        # per label, in label order, the least position whose trial bound
+        # "position <= mid" narrows without emptying a window.  Narrowing is
+        # unit propagation over the threshold 2SAT encoding of the rules, so
+        # by the Even-Itai-Shamir argument such a trial keeps the commitment
+        # satisfiable, and no decision is undone.
+        for s in range(1, ell + 1):
+            while lo[s] < hi[s]:
+                mid = (lo[s] + hi[s]) // 2
+                trial_lo, trial_hi = lo[:], hi[:]
+                trial_hi[s] = mid
+                if _narrow(rules, trial_lo, trial_hi):
+                    lo, hi = trial_lo, trial_hi
+                else:
+                    lo[s] = mid + 1
+                    if not _narrow(rules, lo, hi):
+                        return None
+        emb: Embedding = {s: xs[cls[s]][lo[s]] for s in range(1, ell + 1)}
+        if not verify_embedding(sigma, pi, emb):
+            raise AssertionError("internal: narrowed positions failed verification")
+        return emb
+
+    def dfs(s: int, lo: List[int], hi: List[int]) -> Optional[Embedding]:
+        y = sw[s - 1]
+        for c in options[s - 1]:
+            k = c - 1
+            prev = last[k]
+            if not room[k] or (prev and (sw[prev - 1] < y) != inc[k]):
+                continue
+            mark = len(rules)
+            for x in range(1, s):
+                kx = cls[x]
+                rules.append((x, s, xs[kx], xs[k], True, True))
+                if sw[x - 1] < y:
+                    rules.append((x, s, ys[kx], ys[k], inc[kx], inc[k]))
+                else:
+                    rules.append((s, x, ys[k], ys[kx], inc[k], inc[kx]))
+            cls[s] = k
+            room[k] -= 1
+            last[k] = s
+            sub_lo, sub_hi = lo + [0], hi + [len(xs[k]) - 1]
+            found = None
+            if not _narrow(rules, sub_lo, sub_hi):
+                tally["pruned" if s < ell else "refuted"] += 1
+            elif s < ell:
+                found = dfs(s + 1, sub_lo, sub_hi)
+            else:
+                tally["solves"] += 1
+                found = least(sub_lo, sub_hi)
+            room[k] += 1
+            last[k] = prev
+            del rules[mark:]
+            if found is not None:
+                return found
+        return None
+
+    return dfs(1, [0], [0])
 
 
 def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
-                       pi: Permutation, part: MonotonePartition,
-                       stats: Optional[dict] = None) -> Optional[Embedding]:
+                       pi: Permutation, part: MonotonePartition) -> Optional[Embedding]:
     """The lexicographically least embedding of sigma into pi sending each
     pattern label into its assigned class (its images, read in label
-    order, come first in ``itertools.combinations`` order), or None.
-
-    Filters class direction mismatches and overfull classes first, then
-    narrows the position windows.  If no window empties, a binary search
-    per label, in label order, finds the least position whose trial bound
-    ("position <= mid") narrows without emptying a window.  Narrowing is
-    exactly unit propagation over the threshold 2SAT encoding of the
-    constraints (every clause links "position >= v" literals of two
-    labels), so by the Even-Itai-Shamir argument a trial that empties no
-    window keeps the commitment satisfiable, and no decision is undone.
-
-    When ``stats`` is a dict, ``stats["refuted"]`` counts a commitment the
-    first narrowing refutes and ``stats["solves"]`` one it lets through,
-    which the search then decides."""
-    t = part.t
+    order, come first in ``itertools.combinations`` order), or None."""
+    validate_monotone_partition(pi, part)
     labels = range(1, len(sigma) + 1)  # in x-order
-    sw = sigma.word
+    if not labels:
+        raise ValidationError("pattern must be nonempty")
     if set(assign) != set(labels):
         raise ValidationError("assignment must cover exactly the pattern labels")
     for s, c in assign.items():
-        if not 1 <= c <= t:
-            raise ValidationError("assignment sends label %d to class %d, outside 1..%d" % (s, c, t))
-
-    pw = pi.word
-    order = [members for members, _ in part.classes]
-    dirs = [d for _, d in part.classes]
-
-    sig_cls: Dict[int, List[int]] = {}
-    for s in labels:
-        sig_cls.setdefault(assign[s], []).append(s)
-    for c, mem in sig_cls.items():
-        if len(mem) > len(order[c - 1]):
-            return None  # more pattern labels than class members
-        if not _is_monotone([sw[s - 1] for s in mem], dirs[c - 1]):
-            return None  # direction mismatch
-    # x- and y-coordinates by class position, for the classes in use
-    coords = {c - 1: (order[c - 1], [pw[s - 1] for s in order[c - 1]]) for c in sig_cls}
-    rules = _narrowing_rules(sw, assign, coords, dirs)
-    lo, hi = _full_windows(assign, coords)
-    if not _narrow(rules, lo, hi):
-        if stats is not None:
-            stats["refuted"] = stats.get("refuted", 0) + 1
-        return None
-    if stats is not None:
-        stats["solves"] = stats.get("solves", 0) + 1
-
-    for s in labels:
-        while lo[s] < hi[s]:
-            mid = (lo[s] + hi[s]) // 2
-            trial_lo, trial_hi = dict(lo), dict(hi)
-            trial_hi[s] = mid
-            if _narrow(rules, trial_lo, trial_hi):
-                lo, hi = trial_lo, trial_hi
-            else:
-                lo[s] = mid + 1
-                if not _narrow(rules, lo, hi):
-                    return None
-    emb: Embedding = {s: order[assign[s] - 1][lo[s]] for s in labels}
-    if not verify_embedding(sigma, pi, emb):
-        raise AssertionError("internal: narrowed positions failed verification")
-    return emb
+        if not 1 <= c <= part.t:
+            raise ValidationError("assignment sends label %d to class %d, outside 1..%d" % (s, c, part.t))
+    return _search(sigma, pi, part, [(assign[s],) for s in labels], dict.fromkeys(_COUNTERS, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,57 +338,22 @@ def t_monotone_match(sigma: Permutation, pi: Permutation,
     """First embedding found over all class commitments of the pattern
     labels, enumerated as a base-t counter with label 1 most significant;
     branches die early on class overflow, an already non-monotone
-    restriction, or a prefix the position bounds refute.
+    restriction, or a prefix whose position windows narrow to empty.
 
     When ``stats`` is a dict it receives four counts: ``leaves`` (complete
     commitments reached), ``pruned`` (prefixes refuted by the bounds),
     ``refuted`` (complete commitments refuted by the bounds) and
     ``solves`` (complete commitments the bounds let through, which the
-    search in ``sigma_pi_embedding`` then decides)."""
+    binary search for the least positions then decides)."""
     validate_monotone_partition(pi, part)
     ell = len(sigma)
-    sw = sigma.word
     if ell < 1:
         raise ValidationError("pattern must be nonempty")
-    t = part.t
-    pw = pi.word
-    coords = {ci: (members, [pw[s - 1] for s in members])
-              for ci, (members, _) in enumerate(part.classes)}
-    sizes = [len(c) for c, _ in part.classes]
-    dirs = [d for _, d in part.classes]
-    assign: PatternAssignment = {}
-    counts = [0] * t
-    tally = dict.fromkeys(("leaves", "pruned", "refuted", "solves"), 0)
-
-    def class_ok(c: int) -> bool:
-        return _is_monotone([sw[s - 1] for s in sorted(assign) if assign[s] == c], dirs[c - 1])
-
-    def dfs(idx: int) -> Optional[Embedding]:
-        if idx == ell:
-            tally["leaves"] += 1
-            return sigma_pi_embedding(sigma, dict(assign), pi, part, stats=tally)
-        s = idx + 1
-        for c in range(1, t + 1):
-            if counts[c - 1] >= sizes[c - 1]:
-                continue
-            assign[s] = c
-            counts[c - 1] += 1
-            if class_ok(c):
-                if 2 <= s < ell and _bounds_refute(sw, assign, coords, dirs):
-                    tally["pruned"] += 1
-                else:
-                    found = dfs(idx + 1)
-                    if found is not None:
-                        del assign[s]
-                        counts[c - 1] -= 1
-                        return found
-            del assign[s]
-            counts[c - 1] -= 1
-        return None
-
-    found = dfs(0) if ell <= len(pi) else None
+    tally = dict.fromkeys(_COUNTERS, 0)
+    every = range(1, part.t + 1)
+    found = _search(sigma, pi, part, [every] * ell, tally) if ell <= len(pi) else None
     if stats is not None:
-        stats.update(tally)
+        stats.update(leaves=tally["refuted"] + tally["solves"], **tally)
     return found
 
 
