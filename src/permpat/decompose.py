@@ -9,16 +9,21 @@ axis — or every cell holds exactly one rectangle while at least two
 remain, in which case the cell occupancy pattern is dense enough for the
 grid finder and the permutation contains the canonical r x r grid pattern.
 ``build_decomposition`` is the one entry point.  Given the grid order r
-it builds at d = 4 f(r) and answers a stall with the grid witness; given
-an explicit budget d it answers a stall with the occupied cells.
+it builds at d = 4 f(r), and the grid finder answers from a dense
+gridding: the starting one when its occupied cells already pass the
+finder's bound (merges inside a cell change neither the cells nor the
+lines, so the merging is skipped), else the one where the merging
+stalls.  Given an explicit budget d it merges and answers a stall with
+the occupied cells.
 
 The DP's cost grows steeply with the width the builder realizes, and
 4 f(r) is often n or more, where the builder sweeps the points left to
 right at a width near n.  ``_stall_free_budget(n)`` is the least budget
 d0 ≈ √(2n) at which no build can stall.  When d0 ≤ 4 f(r), the paper
 build cannot stall either, so ``match_auto`` builds at d0 instead and
-gets a complete sequence of width at most d0.  It loses no grid exit,
-because only a stall leads to one.
+gets a complete sequence of width at most d0.  The only grid exit it
+gives up is a dense start of the paper build, which at such a budget
+needs all but fewer than m of the m x m starting cells occupied.
 
 ``verify_wide`` / ``width_of_decomposition`` replay a sequence and count,
 per axis, the live rectangles' low and high endpoints by rank.  A merged
@@ -64,9 +69,10 @@ from .griddetect import PointSet, f_bound, find_grid
 class DecompositionResult:
     """Outcome of build_decomposition: exactly one of ``seq`` (a complete
     merge sequence, d-wide for ``width_bound`` = d), ``grid`` (an r x r
-    grid witness in the permutation's coordinates, for a build
-    from r) or ``cells`` (the stalled gridding's occupied cells as sorted
-    (column, row) int pairs, for a build from an explicit budget d)."""
+    grid witness in the permutation's coordinates, from a dense starting
+    or stalled gridding of a build from r) or ``cells`` (the stalled
+    gridding's occupied cells as sorted (column, row) int pairs, for a
+    build from an explicit budget d)."""
 
     seq: Optional[MergeSequence]
     grid: Optional[GridWitness]
@@ -471,6 +477,12 @@ def _stall_free_budget(n: int) -> int:
     return d
 
 
+def _dense(p: int, q: int, cells: int, d: int) -> bool:
+    """Whether ``cells`` occupied cells of a p x q gridding pass the grid
+    finder's bound at d = 4 f(r): cells > f(r) (p + q - 2), p + q > 2."""
+    return p + q > 2 and 4 * cells > d * (p + q - 2)
+
+
 def _dense_cells(state: _State) -> Tuple[PointSet, List[int], List[int]]:
     """PointSet of the occupied cells, as (column, row) positions among the
     live lines, and the live column and row line indices in order."""
@@ -491,12 +503,21 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
                         stats: Optional[dict] = None,
                         validate: bool = False) -> DecompositionResult:
     """Merge-decompose perm under a view budget: d = 4 f(r) when given the
-    grid order r, or the explicit budget d.  Returns a complete d-wide
-    merge sequence; when the merging stalls, an r x r grid witness
-    extracted from the dense cell pattern (from r), or that occupied-cell
-    PointSet itself (from d), which has more than (p + q - 2) d / 4 points.
-    Pass exactly one of r and d.  Runs in O(n) merges plus, from r, one
-    grid-finder call; deterministic."""
+    grid order r, or the explicit budget d.  Pass exactly one of r and d.
+
+    Returns a complete d-wide merge sequence, or a dense gridding's answer:
+    an r x r grid witness extracted from its occupied-cell pattern (from
+    r), or that occupied-cell PointSet itself (from d), which has more than
+    (p + q - 2) d / 4 points.  From r, a starting gridding that already
+    passes the grid finder's density bound goes straight to the finder
+    without merging; otherwise the gridding is dense only where the
+    merging stalls.  From d, only a stall returns the cells.
+
+    ``stats``, when given, receives ``coarsen_cols`` and ``coarsen_rows``
+    (line merges per axis), ``merges`` (merge steps made: 0 when the
+    starting gridding is dense, n - 1 for a complete sequence) and
+    ``dense`` (whether a dense gridding answered).  Runs in O(n) merges
+    plus, from r, at most one grid-finder call; deterministic."""
     if (r is None) == (d is None):
         raise ValidationError("pass exactly one of r and d")
     if r is not None:
@@ -504,27 +525,39 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     elif d < 1:
         raise ValidationError("view budget must be >= 1, got %d" % d)
     if stats is not None:
-        stats.update(coarsen_cols=0, coarsen_rows=0, dense=False)
+        stats.update(coarsen_cols=0, coarsen_rows=0, merges=0, dense=False)
     state = _build_state(perm, d, validate)
-    if _merge_loop(state, stats):
-        seq = MergeSequence._of_steps(state.steps)
-        return DecompositionResult(seq=seq, grid=None, width_bound=d)
+    # merging inside a cell changes neither the occupied cells nor the line
+    # counts, so a start past the bound skips the merging; a start below it
+    # can still stall into a dense gridding
+    if r is None or not _dense(len(state.cols.size), len(state.rows.size),
+                               sum(map(len, state.cols.cells)), d):
+        complete = _merge_loop(state, stats)
+        if stats is not None:
+            stats["merges"] = len(state.steps)
+        if complete:
+            seq = MergeSequence._of_steps(state.steps)
+            return DecompositionResult(seq=seq, grid=None, width_bound=d)
     if stats is not None:
         stats["dense"] = True
     M, cols, rows = _dense_cells(state)
-    # every cell holds one rectangle and consecutive lines are over budget,
-    # which forces the density the grid finder needs
-    if not (M.p + M.q > 2 and 4 * len(M) > d * (M.p + M.q - 2)):
+    # at a stall every cell holds one rectangle and consecutive lines are
+    # over budget, which forces the density the grid finder needs
+    if not _dense(M.p, M.q, len(M), d):
         raise AssertionError("dense branch below threshold")
     if r is None:
         return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M)
     sub = find_grid(M, r)
-    # a cell's representative is the least label of its one rectangle
+    # a cell's representative is its least label: the first of a cell list
+    # (only at the start, where every rectangle is a point) or the least
+    # label of its one rectangle
     ccells = state.cols.cells
+    rep = state.rep
     word = perm.word
     reps = []
     for row in sub.witnesses:
-        labels = [state.rep[ccells[cols[x - 1]][rows[y - 1]]] for x, y in row]
+        cells = [ccells[cols[x - 1]][rows[y - 1]] for x, y in row]
+        labels = [cell[2] if cell.__class__ is list else rep[cell] for cell in cells]
         reps.append([Point(label, word[label - 1]) for label in labels])
     w = GridWitness([state.cols.hi[cols[c - 1]] for c in sub.col_cuts],
                     [state.rows.hi[rows[c - 1]] for c in sub.row_cuts],

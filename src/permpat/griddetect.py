@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .core import GridWitness, ParseError, Point, ValidationError, _int_fields, verify_grid
@@ -130,15 +131,19 @@ def find_blocks(M: PointSet, r: int) -> List[Block]:
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     side = r * r
-    table: Dict[Tuple[int, int], List[int]] = {}
+    # block (bx, by), 0-based, is keyed bx * rows + by: int keys sort in
+    # block (x, y) order.  Sorting input that is already sorted is linear
+    rows = (M.q + side - 1) // side
+    table: Dict[int, List[int]] = {}
     for x, y in sorted(M.points):
-        key = ((x - 1) // side + 1, (y - 1) // side + 1)
+        key = (x - 1) // side * rows + (y - 1) // side
         cols = table.get(key)
         if cols is None:
             table[key] = [x]
         elif cols[-1] != x:
             cols.append(x)
-    return [Block(Point(*key), tuple(cols)) for key, cols in sorted(table.items())]
+    return [Block(Point(key // rows + 1, key % rows + 1), tuple(cols))
+            for key, cols in sorted(table.items())]
 
 
 def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
@@ -219,7 +224,11 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
                               "(= f(%d) * (p + q - 2) with p = %d, q = %d)"
                               % (len(M), threshold, r, M.p, M.q))
 
-    res_t = find_grid_or_reduce(M.transpose(), r)
+    # the transpose sorted by its first field: a stable sort keeps it fully
+    # sorted when M is sorted by column, so find_blocks' sort is linear
+    T = M.transpose()
+    res_t = find_grid_or_reduce(
+        PointSet._of_pairs(T.p, T.q, sorted(T.points, key=itemgetter(0))), r)
     if isinstance(res_t, GridWitness):
         w = GridWitness(res_t.row_cuts, res_t.col_cuts,
                         [[Point(res_t.witnesses[i][j].y, res_t.witnesses[i][j].x)

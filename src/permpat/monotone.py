@@ -149,15 +149,17 @@ def _longest_monotone(values: List[int], decreasing: bool) -> List[int]:
         else:
             tails[idx] = v
         best[r] = idx + 1
-    total = max(best)
+    # Read the run off greedily, each time at the first position that can
+    # go on.  Values are distinct, and two positions a < b with one best
+    # value have ys[a] > ys[b], else a would start a longer run through b.
+    # After position j of the run, some later position of best value
+    # best[j] - 1 continues it; the first such position lies at or before
+    # that one, is at least as high, and so continues the run too.
     out: List[int] = []
-    cur = -1
-    for need in range(total, 0, -1):
-        j = cur + 1
-        while best[j] != need or (cur >= 0 and ys[j] <= ys[cur]):
-            j += 1
+    j = -1
+    for need in range(max(best), 0, -1):
+        j = best.index(need, j + 1)
         out.append(j)
-        cur = j
     return out
 
 

@@ -2,7 +2,12 @@
 
 import gc
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +32,11 @@ from permpat import (
     random_permutation,
     random_separable,
     validate_merge_sequence,
+    verify_grid,
     verify_wide,
     width_of_decomposition,
 )
+import permpat
 import permpat.decompose
 from permpat.core import reduce
 from permpat.decompose import _replay_views, _stall_free_budget
@@ -101,6 +108,83 @@ def test_grid_exit_witness_is_pinned():
     assert res.is_grid
     assert hashlib.sha1(format_grid_witness(res.grid).encode()).hexdigest() == \
         "1486609199ee88a91413cb2cb98660d8eed03934"
+
+
+def test_a_dense_start_takes_the_grid_exit_without_merging():
+    # the 261 x 261 starting lines of 384 ranks already hold more occupied
+    # cells than the grid finder's bound needs, so nothing is merged.  A
+    # starting cell lists its points, and one witness cell of this target
+    # holds three: each must give its least label
+    n, d = 100000, 384
+    perm = random_permutation(n, 1)
+    stats = {}
+    res = build_decomposition(perm, 2, stats=stats)
+    assert res.is_grid and verify_grid(perm, res.grid, 2)
+    assert stats["merges"] == 0 and stats["dense"]
+    assert stats["coarsen_cols"] == stats["coarsen_rows"] == 0
+    word = perm.word
+    sizes = []
+    for pt in (pt for row in res.grid.witnesses for pt in row):
+        c, w = (pt.x - 1) // d, (pt.y - 1) // d
+        labels = [l for l in range(c * d + 1, min(n, c * d + d) + 1)
+                  if (word[l - 1] - 1) // d == w]
+        assert pt.x == labels[0]
+        sizes.append(len(labels))
+    assert max(sizes) > 1
+
+
+def test_a_sparse_start_builds_a_complete_sequence():
+    perm = random_permutation(90000, 1)
+    stats = {}
+    res = build_decomposition(perm, 2, stats=stats)
+    assert res.seq is not None and len(res.seq) == 89999
+    assert stats["merges"] == 89999 and not stats["dense"]
+
+
+def test_a_build_from_d_merges_from_a_dense_start(monkeypatch):
+    # the same dense start at the explicit budget 384: the builder merges
+    # up to the stall and returns the cells, and never calls the finder
+    def no_finder(M, r):
+        raise AssertionError("find_grid called on a build from d")
+
+    monkeypatch.setattr(permpat.decompose, "find_grid", no_finder)
+    stats = {}
+    cells = build_decomposition(random_permutation(100000, 1), d=384, stats=stats).cells
+    assert isinstance(cells, PointSet) and stats["dense"]
+    assert stats["merges"] == 100000 - len(cells) > 0
+
+
+def test_a_wrong_lifted_witness_raises_also_under_optimized_mode():
+    # a grid finder whose witness rows come back in reverse order: the
+    # builder's own check of the lifted witness must catch it, on the
+    # dense start, also under ``python -O``
+    script = textwrap.dedent("""
+        import sys
+        import permpat.decompose as dec
+        from permpat import GridWitness, build_decomposition, random_permutation
+
+        real = dec.find_grid
+
+        def reversed_rows(M, r):
+            w = real(M, r)
+            return GridWitness(w.col_cuts, w.row_cuts, w.witnesses[::-1])
+
+        dec.find_grid = reversed_rows
+        stats = {}
+        try:
+            build_decomposition(random_permutation(100000, 1), 2, stats=stats)
+            print(sys.flags.optimize, stats["merges"], "returned")
+        except AssertionError:
+            print(sys.flags.optimize, stats["merges"], "raised")
+    """)
+    src = str(pathlib.Path(permpat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags, optimize in (([], "0"), (["-O"], "1")):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [optimize, "0", "raised"]
 
 
 NO_CYCLE_BUILDS = {

@@ -30,7 +30,7 @@ from permpat import (
     width_of_decomposition,
 )
 from permpat.core import reduce
-from permpat.monotone import sigma_pi_embedding
+from permpat.monotone import _longest_monotone, sigma_pi_embedding
 
 
 def test_partition_text_round_trip():
@@ -67,6 +67,26 @@ def test_greedy_partition_frozen_small_case():
     # lexicographically least positions {1, 3}
     part = greedy_monotone_partition(parse_permutation("2 1 4 3"))
     assert part.classes == (((1, 3), "inc"), ((2, 4), "inc"))
+
+
+def _least_longest_run(values, decreasing):
+    # the first position set, in lexicographic order, of the largest size
+    # whose values are monotone in the asked direction
+    for k in range(len(values), 0, -1):
+        for run in itertools.combinations(range(len(values)), k):
+            ys = [values[i] for i in run]
+            if all((a > b) if decreasing else (a < b) for a, b in zip(ys, ys[1:])):
+                return list(run)
+
+
+def test_longest_monotone_is_the_least_longest_run():
+    rng = random.Random(5)
+    words = [list(w) for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
+    words += [rng.sample(range(1, 40), n) for n in (7, 8, 9) for _ in range(150)]
+    for values in words:
+        for decreasing in (False, True):
+            assert _longest_monotone(values, decreasing) == \
+                _least_longest_run(values, decreasing), (values, decreasing)
 
 
 def test_greedy_partition_monotone_input_single_class():
