@@ -35,6 +35,7 @@ from .core import (
 )
 from .decompose import (
     MergeSequence,
+    _dense,
     build_decomposition,
     first_violation,
     verify_wide,  # unused here; bench/tracing.py wraps permpat.cli.verify_wide by name
@@ -151,7 +152,7 @@ def cmd_decompose(args) -> int:
         print(format_grid_witness(res.grid))
     else:
         cells = res.cells
-        if args.verify and not 4 * len(cells) > args.budget * (cells.p + cells.q - 2):
+        if args.verify and not _dense(cells.p, cells.q, len(cells), args.budget):
             raise ValidationError("internal: emitted cells are below the density threshold")
         print("CELLS")
         print(format_point_set(cells))
@@ -171,7 +172,7 @@ def cmd_grid(args) -> int:
         pi = _permutation_arg(args.text, args.t, "text")
         M = PointSet(len(pi), len(pi), pi.points)
     r = args.r
-    if M.p + M.q > 2 and len(M) > f_bound(r) * (M.p + M.q - 2):
+    if _dense(M.p, M.q, len(M), 4 * f_bound(r)):
         w = find_grid(M, r)
         print(format_grid_witness(w))
         return 0

@@ -20,20 +20,23 @@ every later lookup.
 
 Label sets are ℓ-bit masks (bit t = the t-th smallest pattern label), and
 per-mask min/max x- and y-ranks are tabulated once per call.  A table key
-is the sorted key tuple K with the tuple of its members' masks; the value
-is the mask sent to the first merged child in the winning split, and only
-satisfiable subproblems are stored.  The components of a split and the
-cross-component order pairs depend only on which children receive labels
-(j2 only, both, or j1 only), so they are computed once per key and shape;
-a split is then tested by comparing tabulated extents and looking its
-components up.  Splits are tried in ascending submask order, so the
-recorded winner is the least mask that works.
+is the sorted key tuple K with the tuple of its members' masks, and only
+satisfiable subproblems are stored.  The value is the entry's witness, a
+partial embedding packed into one int: the point that label t + 1 maps
+to sits in bits t·B to t·B + B − 1, B = n.bit_length().  The components of
+a split and the cross-component order pairs depend only on which children
+receive labels (j2 only, both, or j1 only), so they are computed once per
+key and shape.  A split is then tested by comparing tabulated extents and
+looking its components up; the same pass ORs their witnesses with each
+original point of the split, shifted to its label's bits, into the new
+entry's witness.  Splits are tried in ascending submask order, so the stored
+winner is the least mask that works.
 
 An entry whose parts together hold every label already certifies an
 embedding into the points of its rectangles, so the sweep stops at the
-first such entry it stores and re-descends the winning splits from
-there; the root entry, at the last step, is the latest such entry.  An
-absent pattern stores none, so it runs every step.
+first such entry it stores and unpacks its witness; the root entry, at
+the last step, is the latest such entry.  An absent pattern stores none,
+so it runs every step.
 """
 
 from __future__ import annotations
@@ -243,10 +246,10 @@ def _split_shape(slot: Dict[int, int], boxes: Mapping[int, Box]):
     """Components of the rectangles in ``slot`` (rectangle -> index into a
     split's mask tuple) and, for every pair of rectangles in distinct
     components, which one lies before the other on each axis.  Returns the
-    component count, the slots of original points (a part there must be a
-    single label), the (component, slots) table lookups of the other
-    components, and the x- and y-pairs (a, b) meaning the part in slot a
-    must precede the part in slot b."""
+    component count, the (slot, point) pairs of original points (a part
+    there must be a single label), the (component, slots) table lookups of
+    the other components, and the x- and y-pairs (a, b) meaning the part in
+    slot a must precede the part in slot b."""
     comps = _components(sorted(slot), boxes)
     xpairs: List[Tuple[int, int]] = []
     ypairs: List[Tuple[int, int]] = []
@@ -266,11 +269,11 @@ def _split_shape(slot: Dict[int, int], boxes: Mapping[int, Box]):
                     ypairs.append((slot[v], slot[u]))
                 else:
                     raise AssertionError("components overlap on y")
-    points: List[int] = []
+    points: List[Tuple[int, int]] = []
     lookups = []
     for c in comps:
         if len(c) == 1 and boxes[c[0]][0] == boxes[c[0]][1]:  # an original point
-            points.append(slot[c[0]])
+            points.append((slot[c[0]], c[0]))
         else:
             lookups.append((c, tuple(slot[r] for r in c)))
     return len(comps), points, lookups, xpairs, ypairs
@@ -278,7 +281,7 @@ def _split_shape(slot: Dict[int, int], boxes: Mapping[int, Box]):
 
 class _Placed(Exception):
     """Ends find_pattern's sweep at the first stored entry whose parts
-    place every pattern label; its args are that entry's key and masks."""
+    place every pattern label; its one arg is that entry's witness."""
 
 
 def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
@@ -287,17 +290,19 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     returns an embedding (sigma label -> pi label) or None.
 
     The sweep over the steps ends at the first stored entry whose parts
-    place every label of sigma, and the embedding is read off that entry.
-    When the sweep runs (len(sigma) <= len(pi) and len(pi) >= 2),
-    ``stats`` receives its counts up to that exit: ``entries`` (table
-    entries stored), ``max_components`` (the most components of any split
-    shape) and ``steps`` (merge steps processed; len(seq) when sigma is
-    absent)."""
+    place every label of sigma, and the embedding is that entry's witness.
+    ``stats`` receives the sweep's counts up to that exit: ``entries``
+    (table entries stored), ``max_components`` (the most components of
+    any split shape) and ``steps`` (merge steps processed; len(seq) when
+    sigma is absent).  All three are 0 when no sweep runs (len(sigma) >
+    len(pi) or len(pi) == 1)."""
     ell = len(sigma)
     n = len(pi)
     if ell < 1:
         raise ValidationError("pattern must be nonempty")
     validate_merge_sequence(seq, n, require_complete=True)
+    if stats is not None:
+        stats.update(entries=0, max_components=0, steps=0)
     if ell > n:
         return None
     if n == 1:
@@ -311,28 +316,34 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
     tuples = _mask_tuples(ell)
     graph = VisibilityGraph(pi)
     boxes = graph.boxes
-    # (key, masks) -> label mask sent to the first merged child in the
-    # winning split; masks[t] is the part of the t-th rectangle of the key
+    bits = n.bit_length()
+    # (key, masks) -> witness; masks[t] is the part of the t-th rectangle
+    # of the key
     table: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     max_components = 0
 
-    def satisfied(shape, parts: Tuple[int, ...]) -> bool:
+    def place(shape, parts: Tuple[int, ...]) -> Optional[int]:
         _, points, lookups, xpairs, ypairs = shape
         for a, b in xpairs:
             if xhi[parts[a]] >= xlo[parts[b]]:
-                return False
+                return None
         for a, b in ypairs:
             if yhi[parts[a]] >= ylo[parts[b]]:
-                return False
-        for t in points:
-            if parts[t] & (parts[t] - 1):
-                return False
+                return None
+        witness = 0
+        for t, point in points:
+            bit = parts[t]
+            if bit & (bit - 1):
+                return None
+            witness |= point << ((bit.bit_length() - 1) * bits)
         for comp, slots in lookups:
             # tuple() of a list, not of a generator: a generator's tuple is
             # over-allocated and shrunk, which fills CPython's tuple free lists
-            if (comp, tuple([parts[t] for t in slots])) not in table:
-                return False
-        return True
+            w = table.get((comp, tuple([parts[t] for t in slots])))
+            if w is None:
+                return None
+            witness |= w
+        return witness
 
     full = (1 << ell) - 1
     placed = None
@@ -361,48 +372,26 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
                                 members[j2] = m
                             shape = shapes[kind] = _split_shape(members, boxes)
                             max_components = max(max_components, shape[0])
-                        if satisfied(shape, head + (x1, x ^ x1)):
-                            table[key, masks] = x1
+                        witness = place(shape, head + (x1, x ^ x1))
+                        if witness is not None:
+                            table[key, masks] = witness
                             if sum(masks) == full:  # disjoint parts: their union
-                                raise _Placed(key, masks)
+                                raise _Placed(witness)
                             break
                         if x1 == x:
                             break
                         x1 = (x1 - x) & x
     except _Placed as hit:
-        placed = hit.args
+        placed = hit.args[0]
 
     if stats is not None:
-        stats["entries"] = len(table)
-        stats["max_components"] = max_components
-        stats["steps"] = steps
+        stats.update(entries=len(table), max_components=max_components, steps=steps)
     if placed is None:
         return None
-
-    # re-descend the recorded winning splits to a concrete embedding
-    key, masks = placed
-    emb: Embedding = {}
-    stack: List[Tuple[Tuple[int, ...], Dict[int, int]]] = [(key, dict(zip(key, masks)))]
-    while stack:
-        key, parts = stack.pop()
-        if len(key) == 1 and key[0] <= n:
-            emb[parts[key[0]].bit_length()] = key[0]  # bit t is label t + 1
-            continue
-        k = key[-1]
-        j1, j2, _ = seq[k - n - 1]
-        x1 = table.get((key, tuple(parts[r] for r in key)))
-        if x1 is None:
-            raise AssertionError("internal: missing table entry during reconstruction")
-        x2 = parts[k] ^ x1
-        split = {r: p for r, p in parts.items() if r != k}
-        if x1:
-            split[j1] = x1
-        if x2:
-            split[j2] = x2
-        for comp in _components(sorted(split), boxes):
-            stack.append((comp, {r: split[r] for r in comp}))
+    field = (1 << bits) - 1
+    emb: Embedding = {t + 1: (placed >> t * bits) & field for t in range(ell)}
     if not verify_embedding(sigma, pi, emb):
-        raise AssertionError("internal: reconstructed embedding failed")
+        raise AssertionError("internal: witnessed embedding failed")
     return emb
 
 

@@ -30,6 +30,7 @@ from permpat import (
     verify_embedding,
     width_of_decomposition,
 )
+from permpat.core import reduce
 from permpat.decompose import _stall_free_budget
 from permpat.matcher import VisibilityGraph, connected_sets
 
@@ -133,6 +134,16 @@ def test_find_pattern_edge_sizes():
     assert find_pattern(one, one, parse_merge_sequence("")) == {1: 1}
 
 
+def test_find_pattern_fills_stats_when_no_sweep_runs():
+    # a pattern longer than the target, and a one-point target, run no step
+    for sigma, pi, want in [("1 2 3", "2 1", None), ("1", "1", {1: 1})]:
+        pi = parse_permutation(pi)
+        seq = build_decomposition(pi, 2).seq
+        stats = {}
+        assert find_pattern(parse_permutation(sigma), pi, seq, stats=stats) == want
+        assert stats == {"entries": 0, "max_components": 0, "steps": 0}
+
+
 def test_component_split_instance_exercises_multiway_recombination():
     sigma = parse_permutation("3 1 2 4")
     pi = parse_permutation("7 8 1 10 3 4 6 2 9 5")
@@ -163,6 +174,30 @@ def test_absent_patterns_keep_their_tables():
                     assert got is None
                     h.update(repr((got, stats["entries"], stats["max_components"])).encode())
     assert h.hexdigest() == "b58d6129d4bea4eda57d557771f15e12f55db57c"
+
+
+def test_present_patterns_keep_their_embeddings():
+    # a pattern read off the target's own points is present, so the sweep
+    # ends at its first entry that places every label: the digest of the
+    # embeddings, entry counts and steps is the one that re-descending the
+    # stored winning splits gave before each entry carried its witness
+    h = hashlib.sha1()
+    for n in (5, 12, 20, 40):
+        for s in range(3):
+            rng = random.Random(s)
+            for pi in (random_permutation(n, s), random_separable(n, s)):
+                seqs = [build_decomposition(pi, d=_stall_free_budget(n)).seq]
+                if n <= 12:
+                    seqs.append(random_merge_sequence(n, rng))
+                for ell in range(1, 6):
+                    sigma = reduce((l, pi.word[l - 1]) for l in rng.sample(range(1, n + 1), ell))
+                    for seq in seqs:
+                        stats = {}
+                        emb = find_pattern(sigma, pi, seq, stats=stats)
+                        assert emb is not None and verify_embedding(sigma, pi, emb)
+                        h.update(repr((sorted(emb.items()), stats["entries"],
+                                       stats["steps"])).encode())
+    assert h.hexdigest() == "18301a66f5e20167e820841603cc2fdea19fd2a3"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
