@@ -72,16 +72,19 @@ class VisibilityGraph:
     included, to its (x1, x2, y1, y2) box; a rectangle is live while it
     has an adjacency entry.
 
-    Per axis, the coordinates 1..n still holding an endpoint are kept in a
-    doubly linked list (0 ends it) recording which rectangle owns a
-    left/right endpoint there.  Viewing only grows with the box, so a
-    merged rectangle views everything either child viewed, and the rest
-    of its neighbours are found by scanning only the coordinates under
-    its own projections: anything else overlapping a new interval has an
-    endpoint inside it.
+    Live rectangles hold disjoint point sets, so each coordinate is an
+    endpoint of at most one of them; per axis, ``_owner`` maps a
+    coordinate to that rectangle (0 for none) and ``_live`` marks it.
+    Viewing only grows with the box, so a merged rectangle views everything
+    either child viewed.  The rest of its neighbours lie in the gap between
+    the children on some axis (the gap rule): a rectangle that views the
+    merged box but neither child has, on some axis, an interval that meets
+    the hull of the children's intervals and misses both, so it lies wholly
+    between them and both its endpoints are live endpoints in that gap.
+    A merge therefore scans only the gaps.
     """
 
-    __slots__ = ("boxes", "_adj", "_owner", "_nxt", "_prv")
+    __slots__ = ("boxes", "_adj", "_owner", "_live")
 
     def __init__(self, perm: Permutation):
         n = len(perm)
@@ -91,10 +94,9 @@ class VisibilityGraph:
         by_y = [0] * (n + 1)
         for l, y in enumerate(word, 1):
             by_y[y] = l
-        # coordinate -> [owner of a left endpoint, of a right endpoint]
-        self._owner = ([[c, c] for c in range(n + 1)], [[l, l] for l in by_y])
-        self._nxt = (list(range(1, n + 1)) + [0], list(range(1, n + 1)) + [0])
-        self._prv = (list(range(-1, n)), list(range(-1, n)))
+        self._owner = (list(range(n + 1)), by_y)
+        live = b"\0" + b"\1" * n
+        self._live = (bytearray(live), bytearray(live))
 
     # -- queries ------------------------------------------------------------
 
@@ -109,13 +111,6 @@ class VisibilityGraph:
 
     # -- update -------------------------------------------------------------
 
-    def _unlink(self, axis: int, pos: int) -> None:
-        p, nx = self._prv[axis][pos], self._nxt[axis][pos]
-        if p:
-            self._nxt[axis][p] = nx
-        if nx:
-            self._prv[axis][nx] = p
-
     def merge(self, step: MergeStep) -> None:
         i, j, k = step
         if i not in self or j not in self:
@@ -127,28 +122,20 @@ class VisibilityGraph:
         self.boxes[k] = box
         adj = self._adj
         seen = (adj[i] | adj[j]) - {i, j}
-        for axis in (0, 1):
-            lo, hi = box[2 * axis], box[2 * axis + 1]
-            owner = self._owner[axis]
-            dead = {bi[2 * axis], bi[2 * axis + 1], bj[2 * axis], bj[2 * axis + 1]}
-            owner[bi[2 * axis]][0] = 0
-            owner[bi[2 * axis + 1]][1] = 0
-            owner[bj[2 * axis]][0] = 0
-            owner[bj[2 * axis + 1]][1] = 0
-            owner[lo][0] = k
-            owner[hi][1] = k
-            for pos in dead:
-                if owner[pos][0] == 0 and owner[pos][1] == 0:
-                    self._unlink(axis, pos)
-            nxt = self._nxt[axis]
-            pos = lo
-            while pos and pos <= hi:
-                l, r = owner[pos]
-                if l and l != k:
-                    seen.add(l)
-                if r and r != k:
-                    seen.add(r)
-                pos = nxt[pos]
+        for owner, live, lo in zip(self._owner, self._live, (0, 2)):
+            hi = lo + 1
+            for c in (bi[lo], bi[hi], bj[lo], bj[hi]):
+                owner[c] = live[c] = 0
+            owner[box[lo]] = owner[box[hi]] = k
+            live[box[lo]] = live[box[hi]] = 1
+            # the gap is empty (start past end) when the children overlap
+            pos, end = min(bi[hi], bj[hi]) + 1, max(bi[lo], bj[lo])
+            while True:
+                pos = live.find(1, pos, end)
+                if pos < 0:
+                    break
+                seen.add(owner[pos])
+                pos += 1
         for v in adj[i]:
             adj[v].discard(i)
         for v in adj[j]:
@@ -161,29 +148,24 @@ class VisibilityGraph:
 
 def connected_sets(graph: VisibilityGraph, v: int, l: int) -> List[Tuple[int, ...]]:
     """Every set K with v ∈ K, |K| ≤ l and G[K] connected, as sorted
-    tuples ordered by size then lexicographically."""
+    tuples ordered by size then lexicographically.  Each level grows the
+    one below by a neighbour: a spanning tree of K has a leaf other than
+    v, and dropping it leaves a connected set one smaller."""
     if v not in graph:
         raise ValidationError("vertex %d is not live" % v)
     if l < 1:
         return []
-    out: List[Tuple[int, ...]] = []
-
-    def grow(cur: Tuple[int, ...], cur_set: Set[int], banned: Set[int]) -> None:
-        out.append(tuple(sorted(cur)))
-        if len(cur) == l:
-            return
-        ext: Set[int] = set()
-        for u in cur:
-            ext |= graph.neighbor_set(u)
-        ext -= cur_set
-        ext -= banned
-        shadow: Set[int] = set()
-        for u in sorted(ext):
-            grow(cur + (u,), cur_set | {u}, banned | shadow)
-            shadow.add(u)
-
-    grow((v,), {v}, set())
-    return sorted(out, key=lambda t: (len(t), t))
+    level = [(v,)]
+    out = list(level)
+    for _ in range(l - 1):
+        grown: Set[Tuple[int, ...]] = set()
+        for cur in level:
+            ext = set().union(*map(graph.neighbor_set, cur)).difference(cur)
+            for u in ext:
+                grown.add(tuple(sorted(cur + (u,))))
+        level = sorted(grown)
+        out += level
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +205,24 @@ def _mask_tuples(ell: int) -> List[List[Tuple[int, ...]]]:
 def _components(members: Sequence[int], boxes: Mapping[int, Box]) -> List[Tuple[int, ...]]:
     """Connected components of the visibility relation restricted to
     ``members``, from the static boxes (edge iff the boxes' projections
-    intersect on some axis)."""
-    parent = {v: v for v in members}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in itertools.combinations(members, 2):
-        ba, bb = boxes[a], boxes[b]
-        if (ba[0] <= bb[1] and bb[0] <= ba[1]) or (ba[2] <= bb[3] and bb[2] <= ba[3]):
-            parent[find(a)] = find(b)
-    groups: Dict[int, List[int]] = {}
+    intersect on some axis).  Each member merges every group it touches
+    into one group with itself."""
+    groups: List[List[int]] = []
     for v in members:
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+        x1, x2, y1, y2 = boxes[v]
+        joined = [v]
+        apart = []
+        for g in groups:
+            for u in g:
+                b = boxes[u]
+                if (x1 <= b[1] and b[0] <= x2) or (y1 <= b[3] and b[2] <= y2):
+                    joined += g
+                    break
+            else:
+                apart.append(g)
+        apart.append(joined)
+        groups = apart
+    return sorted(tuple(sorted(g)) for g in groups)
 
 
 def _split_shape(slot: Dict[int, int], boxes: Mapping[int, Box]):

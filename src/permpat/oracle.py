@@ -10,6 +10,8 @@ algorithms elsewhere in the package are tested against them.  Size caps
 
 from __future__ import annotations
 
+import bisect
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -171,12 +173,8 @@ def grid_search(points: Sequence[Point], r: int) -> Optional[GridWitness]:
     ys = sorted({p.y for p in pts})
     if len(xs) < r or len(ys) < r:
         return None
-    from itertools import combinations
-
     x_choices = list(combinations(xs[:-1], r - 1))
     y_choices = list(combinations(ys[:-1], r - 1))
-    import bisect
-
     for cc in x_choices:
         for rc in y_choices:
             cells: Dict[Tuple[int, int], Point] = {}

@@ -1,6 +1,7 @@
 """Visibility graphs and the decomposition-driven matcher."""
 
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -97,6 +98,38 @@ def test_connected_sets_enumerates_each_set_once():
         assert sets == sorted(sets, key=lambda t: (len(t), t))
         seen_total += len(sets)
     assert seen_total > 0
+    # against every connected subset through the new rectangle, on targets
+    # small enough (at most 12 live rectangles) to list them all
+    for s in range(3):
+        perm = random_permutation(12, s)
+        for seq in (build_decomposition(perm, d=_stall_free_budget(12)).seq,
+                    random_merge_sequence(12, random.Random(s))):
+            g = VisibilityGraph(perm)
+            live = set(range(1, 13))
+            for i, j, k in seq:
+                g.merge((i, j, k))
+                live -= {i, j}
+                live.add(k)
+                want = [key for size in range(1, 6)
+                        for key in itertools.combinations(sorted(live), size)
+                        if k in key and _connected(key, g.boxes)]
+                for l in range(1, 6):
+                    assert connected_sets(g, k, l) == [key for key in want if len(key) <= l]
+
+
+def _views(a, b):
+    return (a[0] <= b[1] and b[0] <= a[1]) or (a[2] <= b[3] and b[2] <= a[3])
+
+
+def _connected(key, boxes):
+    reached, todo = {key[0]}, [key[0]]
+    while todo:
+        u = todo.pop()
+        for v in key:
+            if v not in reached and _views(boxes[u], boxes[v]):
+                reached.add(v)
+                todo.append(v)
+    return len(reached) == len(key)
 
 
 def test_live_degrees_stay_bounded_during_replay():
@@ -107,6 +140,22 @@ def test_live_degrees_stay_bounded_during_replay():
     for step in res.seq:
         g.merge(step)
         assert len(g.neighbor_set(step.k)) <= 2 * (w - 1)
+    # every live rectangle's neighbours after every step, against a direct
+    # projection test; random sequences also merge nested and touching boxes
+    for n in (10, 25, 40):
+        for s in range(3):
+            for perm in (random_permutation(n, s), random_separable(n, s)):
+                for seq in (build_decomposition(perm, d=_stall_free_budget(n)).seq,
+                            random_merge_sequence(n, random.Random(s))):
+                    g = VisibilityGraph(perm)
+                    live = set(range(1, n + 1))
+                    for i, j, k in seq:
+                        g.merge((i, j, k))
+                        live -= {i, j}
+                        live.add(k)
+                        for u in live:
+                            want = {v for v in live if v != u and _views(g.boxes[u], g.boxes[v])}
+                            assert g.neighbor_set(u) == want
 
 
 def test_find_pattern_worked_example():
