@@ -10,11 +10,11 @@ remain, in which case the cell occupancy pattern is dense enough for the
 grid finder and the permutation contains the canonical r x r grid pattern.
 ``build_decomposition`` is the one entry point.  Given the grid order r
 it builds at d = 4 f(r), and the grid finder answers from a dense
-gridding: the starting one when its occupied cells already pass the
-finder's bound (merges inside a cell change neither the cells nor the
-lines, so the merging is skipped), else the one where the merging
-stalls.  Given an explicit budget d it merges and answers a stall with
-the occupied cells.
+gridding: the starting one, read from one pass over the word with no
+builder state, when its occupied cells already pass the finder's bound
+(merges inside a cell change neither the cells nor the lines), else the
+one where the merging stalls.  Given an explicit budget d it merges and
+answers a stall with the occupied cells.
 
 The DP's cost grows steeply with the width the builder realizes, and
 4 f(r) is often n or more, where the builder sweeps the points left to
@@ -235,8 +235,7 @@ class _Axis:
 
 
 class _State:
-    __slots__ = ("n", "d", "total", "cols", "rows", "large", "rep", "steps",
-                 "validate", "boxes")
+    __slots__ = ("n", "d", "total", "cols", "rows", "large", "steps", "validate", "boxes")
 
     def __init__(self, n: int, d: int, validate: bool):
         self.n = n
@@ -249,7 +248,6 @@ class _State:
         # rectangle is left; a cell absorbed into another is cleared, and
         # its entry skipped when it reaches the front
         self.large: Deque[List[int]] = deque()
-        self.rep: List[int] = list(range(n + 1))  # min original label per index
         self.steps: List[Tuple[int, int, int]] = []
         self.validate = validate
         self.boxes: Dict[int, Tuple[int, int, int, int]] = {}
@@ -265,18 +263,17 @@ def _lines(axis: _Axis) -> List[int]:
     return out
 
 
-def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
+def _build_state(perm: Permutation, d: int, validate: bool, row_of: List[int]) -> _State:
+    """The starting state; ``row_of[l - 1]`` is label l's row, (y - 1) // d."""
     n = len(perm)
     state = _State(n, d, validate)
     ccells = state.cols.cells
     rcells = state.rows.cells
     large = state.large
-    word = perm.word
     for c, cc in enumerate(ccells):
         label = c * d
-        for y in word[label:label + d]:
+        for w in row_of[label:label + d]:
             label += 1
-            w = (y - 1) // d
             cell = cc.get(w)
             if cell is None:
                 cc[w] = label
@@ -289,7 +286,7 @@ def _build_state(perm: Permutation, d: int, validate: bool = False) -> _State:
             else:
                 cell.append(label)
     if validate:
-        state.boxes = {l: (l, l, y, y) for l, y in enumerate(word, 1)}
+        state.boxes = {l: (l, l, y, y) for l, y in enumerate(perm.word, 1)}
     return state
 
 
@@ -414,7 +411,6 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
     large = state.large
     k = state.n
     steps = state.steps
-    rep = state.rep
     validate = state.validate
     cols, rows = state.cols, state.rows
     csize, rsize = cols.size, rows.size
@@ -431,7 +427,6 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
         j = cell[3]
         k += 1
         steps.append((i, j, k))
-        rep.append(rep[i] if rep[i] < rep[j] else rep[j])
         state.total -= 1
         if len(cell) == 4:
             large.popleft()
@@ -483,19 +478,17 @@ def _dense(p: int, q: int, cells: int, d: int) -> bool:
     return p + q > 2 and 4 * cells > d * (p + q - 2)
 
 
-def _dense_cells(state: _State) -> Tuple[PointSet, List[int], List[int]]:
-    """PointSet of the occupied cells, as (column, row) positions among the
-    live lines, and the live column and row line indices in order."""
+def _dense_cells(state: _State) -> Tuple[List[List[int]], List[int], List[int]]:
+    """A stalled gridding's occupied cells, as the 0-based positions of
+    each live column's occupied rows among the live rows, and the live
+    columns' and rows' bounds: 0, then each line's end coordinate."""
     cols = _lines(state.cols)
     rows = _lines(state.rows)
-    row_pos = [0] * len(state.rows.size)
-    for pos, line in enumerate(rows, 1):
-        row_pos[line] = pos
+    row_pos = {line: pos for pos, line in enumerate(rows)}
     ccells = state.cols.cells
-    pts: List[Tuple[int, int]] = []
-    for ci, col in enumerate(cols, 1):
-        pts += [(ci, y) for y in sorted([row_pos[row] for row in ccells[col]])]
-    return PointSet._of_pairs(len(cols), len(rows), pts), cols, rows
+    occupied = [[row_pos[row] for row in ccells[col]] for col in cols]
+    return (occupied, [0, *(state.cols.hi[c] for c in cols)],
+            [0, *(state.rows.hi[w] for w in rows)])
 
 
 def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
@@ -508,10 +501,11 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     Returns a complete d-wide merge sequence, or a dense gridding's answer:
     an r x r grid witness extracted from its occupied-cell pattern (from
     r), or that occupied-cell PointSet itself (from d), which has more than
-    (p + q - 2) d / 4 points.  From r, a starting gridding that already
-    passes the grid finder's density bound goes straight to the finder
-    without merging; otherwise the gridding is dense only where the
-    merging stalls.  From d, only a stall returns the cells.
+    (p + q - 2) d / 4 points.  From r, one pass over the word finds the
+    starting cells; a starting gridding that already passes the grid
+    finder's density bound goes straight to the finder with no builder
+    state, else the gridding is dense only where the merging stalls.  From
+    d, only a stall returns the cells.
 
     ``stats``, when given, receives ``coarsen_cols`` and ``coarsen_rows``
     (line merges per axis), ``merges`` (merge steps made: 0 when the
@@ -526,21 +520,30 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         raise ValidationError("view budget must be >= 1, got %d" % d)
     if stats is not None:
         stats.update(coarsen_cols=0, coarsen_rows=0, merges=0, dense=False)
-    state = _build_state(perm, d, validate)
-    # merging inside a cell changes neither the occupied cells nor the line
-    # counts, so a start past the bound skips the merging; a start below it
-    # can still stall into a dense gridding
-    if r is None or not _dense(len(state.cols.size), len(state.rows.size),
-                               sum(map(len, state.cols.cells)), d):
+    n = len(perm)
+    row_of = [(y - 1) // d for y in perm.word]  # label l's starting row is row_of[l - 1]
+    occupied = None
+    if r is not None:
+        # the rows each starting column occupies; merging inside a cell
+        # changes neither the occupied cells nor the lines, so a dense start
+        # skips it, and a sparse one may still stall
+        occupied = [set(row_of[lo:lo + d]) for lo in range(0, n, d)]
+        xs = ys = [*range(0, n, d), n]
+        if not _dense(len(occupied), len(occupied), sum(map(len, occupied)), d):
+            occupied = None
+    if occupied is None:
+        state = _build_state(perm, d, validate, row_of)
         complete = _merge_loop(state, stats)
         if stats is not None:
             stats["merges"] = len(state.steps)
         if complete:
             seq = MergeSequence._of_steps(state.steps)
             return DecompositionResult(seq=seq, grid=None, width_bound=d)
+        occupied, xs, ys = _dense_cells(state)
     if stats is not None:
         stats["dense"] = True
-    M, cols, rows = _dense_cells(state)
+    M = PointSet._of_pairs(len(xs) - 1, len(ys) - 1,
+                           [(c, w + 1) for c, col in enumerate(occupied, 1) for w in sorted(col)])
     # at a stall every cell holds one rectangle and consecutive lines are
     # over budget, which forces the density the grid finder needs
     if not _dense(M.p, M.q, len(M), d):
@@ -548,20 +551,14 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     if r is None:
         return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M)
     sub = find_grid(M, r)
-    # a cell's representative is its least label: the first of a cell list
-    # (only at the start, where every rectangle is a point) or the least
-    # label of its one rectangle
-    ccells = state.cols.cells
-    rep = state.rep
+    # line c spans the coordinates xs[c - 1] + 1 .. xs[c] (ys for rows): a
+    # cut after it lifts to xs[c], and a witness cell to its least label (at
+    # a stall, the least label of the cell's one rectangle)
     word = perm.word
-    reps = []
-    for row in sub.witnesses:
-        cells = [ccells[cols[x - 1]][rows[y - 1]] for x, y in row]
-        labels = [cell[2] if cell.__class__ is list else rep[cell] for cell in cells]
-        reps.append([Point(label, word[label - 1]) for label in labels])
-    w = GridWitness([state.cols.hi[cols[c - 1]] for c in sub.col_cuts],
-                    [state.rows.hi[rows[c - 1]] for c in sub.row_cuts],
-                    reps)
+    w = GridWitness([xs[c] for c in sub.col_cuts], [ys[c] for c in sub.row_cuts],
+                    [[next(Point(l, v) for l, v in enumerate(word[xs[x - 1]:xs[x]], xs[x - 1] + 1)
+                           if ys[y - 1] < v <= ys[y]) for x, y in row]
+                     for row in sub.witnesses])
     if not verify_grid(perm, w, r):
         raise AssertionError("internal: lifted dense-branch witness failed verification")
     return DecompositionResult(seq=None, grid=w, width_bound=None)

@@ -133,6 +133,52 @@ def test_a_dense_start_takes_the_grid_exit_without_merging():
     assert max(sizes) > 1
 
 
+def test_a_dense_start_builds_no_state(monkeypatch):
+    # a dense start is read from one pass over the word; only a sparse
+    # start makes the builder state
+    real = permpat.decompose._build_state
+
+    def no_state(*args):
+        raise AssertionError("builder state made for a dense start")
+
+    monkeypatch.setattr(permpat.decompose, "_build_state", no_state)
+    stats = {}
+    res = build_decomposition(random_permutation(100000, 1), 2, stats=stats)
+    assert hashlib.sha1(format_grid_witness(res.grid).encode()).hexdigest() == \
+        "1486609199ee88a91413cb2cb98660d8eed03934"
+    assert stats["merges"] == 0 and stats["dense"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(permpat.decompose, "_build_state", counted)
+    res = build_decomposition(random_separable(2000, 1), 2)
+    assert calls == [384] and len(res.seq) == 1999
+
+
+def test_builds_at_r_1_are_pinned():
+    # at d = 4 most of these builds take the dense start, and the rest
+    # stall or complete: the digest covers each outcome and its stats
+    digest = hashlib.sha1()
+    kinds = {"start": 0, "stall": 0, "complete": 0}
+    for make in (random_permutation, random_separable):
+        for s in (1, 2, 3):
+            for n in range(2, 297, 7):
+                stats = {}
+                res = build_decomposition(make(n, s), 1, stats=stats)
+                out = (format_grid_witness(res.grid) if res.is_grid
+                       else format_merge_sequence(res.seq))
+                digest.update(("%s %d %d\n%s\n%r\n" % (make.__name__, n, s, out,
+                                                       sorted(stats.items()))).encode())
+                kind = ("complete" if not res.is_grid
+                        else "start" if stats["merges"] == 0 else "stall")
+                kinds[kind] += 1
+    assert kinds == {"start": 237, "stall": 9, "complete": 12}
+    assert digest.hexdigest() == "ca8d8e21a56c4eda6178e107eda6336364b9bb1c"
+
+
 def test_a_sparse_start_builds_a_complete_sequence():
     perm = random_permutation(90000, 1)
     stats = {}

@@ -329,7 +329,7 @@ def test_witness_checks_survive_optimized_mode():
 
         def invariants():
             # the builder's validate=True check, on a state with a wrong count
-            state = dec._build_state(parse_permutation("2 1 3"), 384, validate=True)
+            state = dec._build_state(parse_permutation("2 1 3"), 384, True, [0, 0, 0])
             state.total = 99
             dec._check_invariants(state)
 
