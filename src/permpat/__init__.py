@@ -11,7 +11,6 @@ from .core import (
     Embedding,
     GridWitness,
     MergeSequence,
-    MergeStep,
     ParseError,
     Permutation,
     Point,
@@ -69,7 +68,6 @@ __all__ = [
     "Embedding",
     "GridWitness",
     "MergeSequence",
-    "MergeStep",
     "MonotonePartition",
     "ParseError",
     "Permutation",

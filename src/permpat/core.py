@@ -102,33 +102,23 @@ def _int_fields(fields: Iterable[int], count: int, what: str) -> Tuple[int, ...]
     return t
 
 
-class MergeStep(NamedTuple):
-    """Replace rectangles i and j by their bounding box, indexed k."""
-
-    i: int
-    j: int
-    k: int
-
-
 @dataclass(frozen=True)
 class MergeSequence:
-    """A sequence of merge steps; over an n-point permutation, step p must
-    create index n + p (originals are 1..n, merged boxes continue upward)."""
+    """A sequence of merge steps, each the int triple (i, j, k): replace
+    rectangles i and j by their bounding box, indexed k.  Over an n-point
+    permutation, step p must create index n + p (originals are 1..n,
+    merged boxes continue upward)."""
 
-    steps: Tuple[MergeStep, ...]
+    steps: Tuple[Tuple[int, int, int], ...]
 
     def __init__(self, steps: Iterable[Sequence[int]]):
-        norm = tuple(MergeStep(*_int_fields(s, 3, "merge step")) for s in steps)
-        object.__setattr__(self, "steps", norm)
+        object.__setattr__(self, "steps",
+                           tuple(_int_fields(s, 3, "merge step") for s in steps))
 
     @classmethod
     def _of_steps(cls, steps: List[Tuple[int, int, int]]) -> "MergeSequence":
         """Wrap the builder's list of (i, j, k) int tuples without checking
-        them.  The list is turned into MergeSteps in place, so no second
-        copy of the steps is ever held."""
-        new = tuple.__new__
-        for p, step in enumerate(steps):
-            steps[p] = new(MergeStep, step)
+        them."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "steps", tuple(steps))
         return seq
@@ -226,7 +216,7 @@ def parse_merge_sequence(text: str) -> MergeSequence:
 
 
 def format_merge_sequence(seq: MergeSequence) -> str:
-    return "\n".join("%d %d %d" % (s.i, s.j, s.k) for s in seq)
+    return "\n".join("%d %d %d" % step for step in seq)
 
 
 def format_grid_witness(w: GridWitness) -> str:

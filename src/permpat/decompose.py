@@ -210,22 +210,22 @@ def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[T
 
 class _Axis:
     """The columns or the rows of the gridding.  Lines are int indices
-    into flat lists: size (rectangle count), span lo..hi of coordinates,
-    neighbor links prv/nxt (-1: none) and cells, a dict per line keyed by
-    the crossing line's index.  A cell holding one rectangle is that
+    into flat lists: size (rectangle count), hi (the line's last
+    coordinate; it starts one past the previous live line's), neighbor
+    links prv/nxt (-1: none) and cells, a dict per line keyed by the
+    crossing line's index.  A cell holding one rectangle is that
     rectangle's index; a larger cell is the list [col, row, rect, rect,
     ...], the same object in both lines' dicts.  Nothing here refers
     back to anything, so a build's state is freed by reference counting
     as soon as the build returns."""
 
-    __slots__ = ("size", "lo", "hi", "prv", "nxt", "cells", "head")
+    __slots__ = ("size", "hi", "prv", "nxt", "cells", "head")
 
     def __init__(self, n: int, d: int):
         # line c holds the points of coordinates c*d+1 .. (c+1)*d
         m = (n + d - 1) // d
-        self.lo = list(range(1, n + 1, d))
-        self.hi = [min(lo + d - 1, n) for lo in self.lo]
-        self.size = [hi - lo + 1 for lo, hi in zip(self.lo, self.hi)]
+        self.hi = [min(hi, n) for hi in range(d, n + d, d)]
+        self.size = [hi - c * d for c, hi in enumerate(self.hi)]
         self.prv = list(range(-1, m - 1))
         self.nxt = list(range(1, m + 1))
         if m:
@@ -235,9 +235,13 @@ class _Axis:
 
 
 class _State:
-    __slots__ = ("n", "d", "total", "cols", "rows", "large", "steps", "validate", "boxes")
+    """A build's gridding and its merge steps so far.  Rectangles 1..n are
+    the points, step p makes rectangle n + p, and ``total`` counts the
+    live ones."""
 
-    def __init__(self, n: int, d: int, validate: bool):
+    __slots__ = ("n", "d", "total", "cols", "rows", "large", "steps")
+
+    def __init__(self, n: int, d: int):
         self.n = n
         self.d = d
         self.total = n
@@ -249,8 +253,6 @@ class _State:
         # its entry skipped when it reaches the front
         self.large: Deque[List[int]] = deque()
         self.steps: List[Tuple[int, int, int]] = []
-        self.validate = validate
-        self.boxes: Dict[int, Tuple[int, int, int, int]] = {}
 
 
 def _lines(axis: _Axis) -> List[int]:
@@ -263,10 +265,9 @@ def _lines(axis: _Axis) -> List[int]:
     return out
 
 
-def _build_state(perm: Permutation, d: int, validate: bool, row_of: List[int]) -> _State:
+def _build_state(n: int, d: int, row_of: List[int]) -> _State:
     """The starting state; ``row_of[l - 1]`` is label l's row, (y - 1) // d."""
-    n = len(perm)
-    state = _State(n, d, validate)
+    state = _State(n, d)
     ccells = state.cols.cells
     rcells = state.rows.cells
     large = state.large
@@ -285,8 +286,6 @@ def _build_state(perm: Permutation, d: int, validate: bool, row_of: List[int]) -
                 large.append(cell)
             else:
                 cell.append(label)
-    if validate:
-        state.boxes = {l: (l, l, y, y) for l, y in enumerate(perm.word, 1)}
     return state
 
 
@@ -322,10 +321,8 @@ def _absorb_line(state: _State, axis: _Axis, other: _Axis, a: int, b: int, pos: 
             state.large.append(cell)
         del oc[b]
     axis.cells[b] = None
-    size, lo, hi, prv, nxt = axis.size, axis.lo, axis.hi, axis.prv, axis.nxt
+    size, hi, prv, nxt = axis.size, axis.hi, axis.prv, axis.nxt
     size[a] += size[b]
-    if lo[b] < lo[a]:
-        lo[a] = lo[b]
     if hi[b] > hi[a]:
         hi[a] = hi[b]
     p, q = prv[b], nxt[b]
@@ -350,68 +347,12 @@ def _maybe_coarsen(state: _State, axis: _Axis, other: _Axis, line: int, pos: int
             return
 
 
-def _check_invariants(state: _State) -> None:
-    """Debug replay of the gridding invariants: rectangles inside their
-    cell's span, line sizes within budget, consecutive lines over budget,
-    large-cell bookkeeping exact.  Raises AssertionError, also under -O."""
-    d = state.d
-    cols, rows = state.cols, state.rows
-    seen: Dict[int, bool] = {}
-    large = {id(cell) for cell in state.large if cell}
-    for axis in (cols, rows):
-        lines = _lines(axis)
-        for ln in lines:
-            if not 1 <= axis.size[ln] <= d:
-                raise AssertionError("line size %d outside 1..%d" % (axis.size[ln], d))
-            count = sum(len(c) - 2 if c.__class__ is list else 1
-                        for c in axis.cells[ln].values())
-            if count != axis.size[ln]:
-                raise AssertionError("line size differs from its cells' rectangle count")
-        for a, b in zip(lines, lines[1:]):
-            if axis.size[a] + axis.size[b] <= d:
-                raise AssertionError("consecutive lines fit the budget but were not merged")
-            if axis.hi[a] >= axis.lo[b]:
-                raise AssertionError("line spans out of order")
-    cells = 0
-    for col in _lines(cols):
-        for row, cell in cols.cells[col].items():
-            cells += 1
-            if rows.cells[row].get(col) is not cell:
-                raise AssertionError("cell linked to the wrong lines")
-            if cell.__class__ is list:
-                if cell[:2] != [col, row]:
-                    raise AssertionError("cell linked to the wrong lines")
-                if len(cell) < 4:
-                    raise AssertionError("large cell holds fewer than two rectangles")
-                if id(cell) not in large:
-                    raise AssertionError("large-cell queue stale")
-                large.discard(id(cell))
-                rects = cell[2:]
-            else:
-                rects = [cell]
-            for idx in rects:
-                if idx in seen:
-                    raise AssertionError("rectangle in two cells")
-                seen[idx] = True
-                x1, x2, y1, y2 = state.boxes[idx]
-                if not (cols.lo[col] <= x1 and x2 <= cols.hi[col]
-                        and rows.lo[row] <= y1 and y2 <= rows.hi[row]):
-                    raise AssertionError("rectangle escapes its cell")
-    if sum(len(rows.cells[row]) for row in _lines(rows)) != cells:
-        raise AssertionError("row and column cells differ")
-    if large:
-        raise AssertionError("large-cell queue holds a cell off the grid")
-    if len(seen) != state.total:
-        raise AssertionError("%d rectangles in cells, %d alive" % (len(seen), state.total))
-
-
 def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
     """Run merges until one rectangle remains (True) or no cell holds two
     rectangles while several remain (False: dense)."""
     large = state.large
     k = state.n
     steps = state.steps
-    validate = state.validate
     cols, rows = state.cols, state.rows
     csize, rsize = cols.size, rows.size
     ccells, rcells = cols.cells, rows.cells
@@ -437,15 +378,8 @@ def _merge_loop(state: _State, stats: Optional[dict] = None) -> bool:
             cell[2] = k
         csize[c] -= 1
         rsize[w] -= 1
-        if validate:
-            a = state.boxes[i]
-            b = state.boxes[j]
-            state.boxes[k] = (min(a[0], b[0]), max(a[1], b[1]),
-                              min(a[2], b[2]), max(a[3], b[3]))
         _maybe_coarsen(state, cols, rows, c, 0, stats)
         _maybe_coarsen(state, rows, cols, w, 1, stats)
-        if validate:
-            _check_invariants(state)
     return True
 
 
@@ -458,8 +392,8 @@ def _stall_free_budget(n: int) -> int:
     size is then the number of its occupied cells, at most the number of
     lines on the other axis, and that is at most the initial ceil(n / d)
     because lines only ever merge.  Two consecutive lines together hold
-    more than d rectangles (checked by ``_check_invariants``), so a stall
-    needs d < 2 ceil(n / d).
+    more than d rectangles (``check_builder_state`` in tests/helpers.py
+    checks this after every merge), so a stall needs d < 2 ceil(n / d).
 
     d - 2 ceil(n / d) strictly increases with d, so every budget from the
     returned one up cannot stall, and the returned one is at most the
@@ -493,8 +427,7 @@ def _dense_cells(state: _State) -> Tuple[List[List[int]], List[int], List[int]]:
 
 def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
                         d: Optional[int] = None,
-                        stats: Optional[dict] = None,
-                        validate: bool = False) -> DecompositionResult:
+                        stats: Optional[dict] = None) -> DecompositionResult:
     """Merge-decompose perm under a view budget: d = 4 f(r) when given the
     grid order r, or the explicit budget d.  Pass exactly one of r and d.
 
@@ -514,6 +447,9 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     plus, from r, at most one grid-finder call; deterministic."""
     if (r is None) == (d is None):
         raise ValidationError("pass exactly one of r and d")
+    name, value = ("d", d) if r is None else ("r", r)
+    if type(value) is not int:  # _int_fields' test: no bools, no floats
+        raise ValidationError("%s must be an int, got %r" % (name, value))
     if r is not None:
         d = 4 * f_bound(r)
     elif d < 1:
@@ -532,7 +468,7 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         if not _dense(len(occupied), len(occupied), sum(map(len, occupied)), d):
             occupied = None
     if occupied is None:
-        state = _build_state(perm, d, validate, row_of)
+        state = _build_state(n, d, row_of)
         complete = _merge_loop(state, stats)
         if stats is not None:
             stats["merges"] = len(state.steps)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .core import GridWitness, ParseError, Point, ValidationError, _int_fields, verify_grid
 
@@ -80,14 +80,6 @@ def _raise_first_bad_point(p: int, q: int, pts: Tuple[Point, ...]) -> None:
         seen.add(pt)
 
 
-class Block(NamedTuple):
-    """A nonempty r^2-side block: its cell position in block units and the
-    sorted occupied original column coordinates."""
-
-    cell: Point
-    cols: Tuple[int, ...]
-
-
 def parse_point_set(text: str) -> PointSet:
     """Parse ``p q`` on the first line, then one ``x y`` point per line."""
     lines = [l.strip() for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
@@ -125,9 +117,10 @@ def f_bound(r: int) -> int:
     return value
 
 
-def find_blocks(M: PointSet, r: int) -> List[Block]:
-    """Group M into blocks of side r^2; one Block per nonempty block, in
-    block (x, y) order, with occupied original columns sorted ascending."""
+def find_blocks(M: PointSet, r: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """Group M into blocks of side r^2: one (bx, by, cols) per nonempty
+    block, in block (x, y) order, with (bx, by) its 1-based position in
+    block units and cols its occupied original columns, ascending."""
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     side = r * r
@@ -142,7 +135,7 @@ def find_blocks(M: PointSet, r: int) -> List[Block]:
             table[key] = [x]
         elif cols[-1] != x:
             cols.append(x)
-    return [Block(Point(key // rows + 1, key % rows + 1), tuple(cols))
+    return [(key // rows + 1, key % rows + 1, tuple(cols))
             for key, cols in sorted(table.items())]
 
 
@@ -160,22 +153,20 @@ def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
     side = r * r
     blocks = find_blocks(M, r)
     hits: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-    found: Optional[Tuple[int, Tuple[int, ...], List[int]]] = None
+    found: Optional[Tuple[Tuple[int, ...], List[int]]] = None
     wide_per_col: Dict[int, int] = {}
-    for b in blocks:
-        if len(b.cols) < r:
+    for bx, by, cols in blocks:
+        if len(cols) < r:
             continue
-        bx = b.cell.x
         wide_per_col[bx] = wide_per_col.get(bx, 0) + 1
-        key = (bx, b.cols[:r])
-        rows = hits.setdefault(key, [])
-        rows.append(b.cell.y)
-        if len(rows) == r and found is None:
-            found = (bx, b.cols[:r], list(rows))
+        rows = hits.setdefault((bx, cols[:r]), [])
+        rows.append(by)
+        if len(rows) == r:
+            found = (cols[:r], rows)
             break
 
     if found is not None:
-        _, S, ys = found
+        S, ys = found
         # representative point per (block row, shared column): smallest y
         want_rows = set(ys)
         want_cols = set(S)
@@ -200,7 +191,7 @@ def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
         raise AssertionError("wide-block bound violated")
     p2 = (M.p + side - 1) // side
     q2 = (M.q + side - 1) // side
-    return PointSet._of_pairs(p2, q2, [b.cell for b in blocks])
+    return PointSet._of_pairs(p2, q2, [(bx, by) for bx, by, _ in blocks])
 
 
 def find_grid(M: PointSet, r: int) -> GridWitness:

@@ -47,7 +47,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .core import (
     Embedding,
     MergeSequence,
-    MergeStep,
     Permutation,
     ValidationError,
     reduce,  # unused here; bench/tracing.py wraps permpat.matcher.reduce by name
@@ -111,7 +110,7 @@ class VisibilityGraph:
 
     # -- update -------------------------------------------------------------
 
-    def merge(self, step: MergeStep) -> None:
+    def merge(self, step: Tuple[int, int, int]) -> None:
         i, j, k = step
         if i not in self or j not in self:
             raise ValidationError("merge step (%d,%d,%d) uses a dead or unknown rectangle" % (i, j, k))

@@ -5,7 +5,8 @@ readers of the embedding and grid witness formats and the writer of the
 monotone partition format (no CLI command reads the first two or writes
 the third), a partition's label -> class map, the canonical grid's
 row-sweep decomposition, substitution, the (6t-5)-wide decomposition of
-a t-monotone target, the raw constraint relations of the
+a t-monotone target, a check of the decomposition builder's gridding
+after every merge, the raw constraint relations of the
 class-respecting embedding problem with their median, close pairs, the
 tree characterization of d-wide sequences, and separability.
 """
@@ -14,7 +15,9 @@ import itertools
 import random
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+import permpat.decompose as dec
 from permpat import (
+    DecompositionResult,
     Embedding,
     GridWitness,
     MergeSequence,
@@ -24,6 +27,7 @@ from permpat import (
     Point,
     SizeCapError,
     ValidationError,
+    build_decomposition,
     validate_merge_sequence,
     validate_monotone_partition,
 )
@@ -307,6 +311,108 @@ def monotone_decomposition(perm: Permutation, part: MonotonePartition,
         steps.append((acc, s, k))
         acc = k
     return MergeSequence(steps)
+
+
+# ---------------------------------------------------------------------------
+# the decomposition builder's gridding invariants
+# ---------------------------------------------------------------------------
+
+def check_builder_state(state, boxes: Dict[int, Box]) -> None:
+    """Check a build's gridding between merges: line sizes in 1..d and
+    equal to their cells' rectangle counts, consecutive lines over budget,
+    line spans covering 1..n in order, cells linked to both their lines,
+    the large-cell queue exact, and every live rectangle in exactly one
+    cell and inside its span.  ``boxes`` maps rectangle indices to their
+    (x1, x2, y1, y2) bounding boxes; the merge steps it lacks are replayed
+    into it first.  Raises AssertionError, also under -O."""
+    for i, j, k in state.steps[len(boxes) - state.n:]:
+        a, b = boxes[i], boxes[j]
+        boxes[k] = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+    d = state.d
+    cols, rows = state.cols, state.rows
+    spans = []
+    for axis in (cols, rows):
+        # a line starts one past the previous live line's end
+        span: Dict[int, Tuple[int, int]] = {}
+        lo = 1
+        lines = dec._lines(axis)
+        for ln in lines:
+            size = axis.size[ln]
+            if not 1 <= size <= d:
+                raise AssertionError("line size %d outside 1..%d" % (size, d))
+            if sum(len(c) - 2 if c.__class__ is list else 1
+                   for c in axis.cells[ln].values()) != size:
+                raise AssertionError("line size differs from its cells' rectangle count")
+            if axis.hi[ln] < lo:
+                raise AssertionError("line spans out of order")
+            span[ln] = (lo, axis.hi[ln])
+            lo = axis.hi[ln] + 1
+        if lo != state.n + 1:
+            raise AssertionError("line spans do not end at n")
+        for a, b in zip(lines, lines[1:]):
+            if axis.size[a] + axis.size[b] <= d:
+                raise AssertionError("consecutive lines fit the budget but were not merged")
+        spans.append(span)
+    cspan, rspan = spans
+    large = {id(cell) for cell in state.large if cell}
+    seen: Set[int] = set()
+    cells = 0
+    for col, (x1, x2) in cspan.items():
+        for row, cell in cols.cells[col].items():
+            cells += 1
+            if row not in rspan or rows.cells[row].get(col) is not cell:
+                raise AssertionError("cell linked to the wrong lines")
+            if cell.__class__ is list:
+                if cell[:2] != [col, row]:
+                    raise AssertionError("cell linked to the wrong lines")
+                if len(cell) < 4:
+                    raise AssertionError("large cell holds fewer than two rectangles")
+                if id(cell) not in large:
+                    raise AssertionError("large-cell queue stale")
+                large.discard(id(cell))
+                rects = cell[2:]
+            else:
+                rects = [cell]
+            y1, y2 = rspan[row]
+            for idx in rects:
+                if idx in seen:
+                    raise AssertionError("rectangle in two cells")
+                seen.add(idx)
+                a = boxes[idx]
+                if not (x1 <= a[0] and a[1] <= x2 and y1 <= a[2] and a[3] <= y2):
+                    raise AssertionError("rectangle escapes its cell")
+    if sum(len(rows.cells[row]) for row in rspan) != cells:
+        raise AssertionError("row and column cells differ")
+    if large:
+        raise AssertionError("large-cell queue holds a cell off the grid")
+    if len(seen) != state.total:
+        raise AssertionError("%d rectangles in cells, %d alive" % (len(seen), state.total))
+
+
+def build_checked(perm: Permutation, r: Optional[int] = None, *, d: Optional[int] = None,
+                  stats: Optional[dict] = None) -> DecompositionResult:
+    """build_decomposition with check_builder_state run after every merge
+    step, once both axes have coarsened: the builder's ``_maybe_coarsen``
+    is wrapped for the call."""
+    boxes = {l: (l, l, y, y) for l, y in enumerate(perm.word, 1)}
+    checked: List[int] = []
+    real = dec._maybe_coarsen
+
+    def coarsen_then_check(state, axis, other, line, pos, stats):
+        real(state, axis, other, line, pos, stats)
+        if pos:  # the rows coarsen last in a step
+            check_builder_state(state, boxes)
+            checked.append(len(state.steps))
+
+    stats = {} if stats is None else stats
+    dec._maybe_coarsen = coarsen_then_check
+    try:
+        res = build_decomposition(perm, r, d=d, stats=stats)
+    finally:
+        dec._maybe_coarsen = real
+    if checked != list(range(1, stats["merges"] + 1)):
+        raise AssertionError("%d checks after %d merges" % (len(checked), stats["merges"]))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,8 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(names) - {"__version__"}
     assert set(names) == {
-        "DecompositionResult", "Embedding", "GridWitness", "MergeSequence", "MergeStep",
-        "MonotonePartition", "ParseError", "Permutation", "Point", "PointSet",
+        "DecompositionResult", "Embedding", "GridWitness", "MergeSequence", "MonotonePartition",
+        "ParseError", "Permutation", "Point", "PointSet",
         "SizeCapError", "ValidationError", "brute_force_grid", "brute_force_match",
         "build_decomposition", "canonical_grid", "exact_width", "f_bound", "find_grid",
         "find_pattern", "first_violation", "format_embedding", "format_grid_witness",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_grid_decomposition, random_merge_sequence
+from helpers import build_checked, canonical_grid_decomposition, random_merge_sequence
 from permpat import (
     MergeSequence,
     Permutation,
@@ -265,12 +265,31 @@ def test_builder_trivial_and_error_inputs():
     for r, d in ((None, None), (2, 384)):
         with pytest.raises(ValidationError):
             build_decomposition(parse_permutation("2 1"), r, d=d)
+    # the grid order and the budget are ints: no bools, no floats
+    for r, d in ((None, True), (None, 2.5), (2.0, None), (True, None)):
+        with pytest.raises(ValidationError):
+            build_decomposition(parse_permutation("2 1"), r, d=d)
 
 
-def test_builder_validate_flag():
-    perm = random_separable(300, 5)
-    res = build_decomposition(perm, 2, validate=True)
+def test_builder_invariants_hold_after_every_merge():
+    # a complete build that coarsens both axes
+    perm = random_separable(2000, 1)
+    stats = {}
+    res = build_checked(perm, 2, stats=stats)
     assert verify_wide(perm, res.seq, 384)
+    assert stats["coarsen_cols"] > 0 and stats["coarsen_rows"] > 0
+    # the builds at r = 1 that stall after merging, and a stall from d
+    stalls = 0
+    for make in (random_permutation, random_separable):
+        for s in (1, 2, 3):
+            for n in range(2, 297, 7):
+                stats = {}
+                if build_checked(make(n, s), 1, stats=stats).is_grid and stats["merges"]:
+                    stalls += 1
+    assert stalls == 9
+    stats = {}
+    assert build_checked(random_permutation(3000, 1), d=5, stats=stats).cells is not None
+    assert stats["merges"] > 0
 
 
 def test_builder_width_never_exceeds_budget_on_random_inputs():
@@ -321,7 +340,7 @@ STALL_FREE_CASES = {
 @pytest.mark.parametrize("perm", STALL_FREE_CASES.values(), ids=STALL_FREE_CASES.keys())
 def test_builds_at_the_stall_free_budget_complete(perm):
     d = _stall_free_budget(len(perm))
-    res = build_decomposition(perm, d=d, validate=True)
+    res = build_checked(perm, d=d)
     assert res.seq is not None and res.width_bound == d
     assert verify_wide(perm, res.seq, d)
 

@@ -101,9 +101,7 @@ def test_find_blocks_on_packed_square():
     # 4x4 box is a single block of side r^2 = 4 when r = 2
     pts = [Point(x, y) for x in range(1, 5) for y in range(1, 5)]
     blocks = find_blocks(PointSet(4, 4, pts), 2)
-    assert len(blocks) == 1
-    assert blocks[0].cell == Point(1, 1)
-    assert blocks[0].cols == (1, 2, 3, 4)
+    assert blocks == [(1, 1, (1, 2, 3, 4))]
 
 
 def test_find_grid_requires_density():

@@ -90,11 +90,11 @@ def test_connected_sets_enumerates_each_set_once():
     res = build_decomposition(perm, 2)
     g = VisibilityGraph(perm)
     seen_total = 0
-    for step in res.seq:
-        g.merge(step)
-        sets = connected_sets(g, step.k, 3)
+    for i, j, k in res.seq:
+        g.merge((i, j, k))
+        sets = connected_sets(g, k, 3)
         assert len(sets) == len(set(sets))
-        assert all(step.k in s for s in sets)
+        assert all(k in s for s in sets)
         assert sets == sorted(sets, key=lambda t: (len(t), t))
         seen_total += len(sets)
     assert seen_total > 0
@@ -137,9 +137,9 @@ def test_live_degrees_stay_bounded_during_replay():
     res = build_decomposition(perm, 2)
     w = width_of_decomposition(perm, res.seq)
     g = VisibilityGraph(perm)
-    for step in res.seq:
-        g.merge(step)
-        assert len(g.neighbor_set(step.k)) <= 2 * (w - 1)
+    for i, j, k in res.seq:
+        g.merge((i, j, k))
+        assert len(g.neighbor_set(k)) <= 2 * (w - 1)
     # every live rectangle's neighbours after every step, against a direct
     # projection test; random sequences also merge nested and touching boxes
     for n in (10, 25, 40):
@@ -328,10 +328,11 @@ def test_witness_checks_survive_optimized_mode():
             return find_grid(tall, 2)
 
         def invariants():
-            # the builder's validate=True check, on a state with a wrong count
-            state = dec._build_state(parse_permutation("2 1 3"), 384, True, [0, 0, 0])
+            # the tests' check of the builder state, on a state with a wrong count
+            state = dec._build_state(3, 384, [0, 0, 0])
             state.total = 99
-            dec._check_invariants(state)
+            helpers.check_builder_state(state, {1: (1, 1, 2, 2), 2: (2, 2, 1, 1),
+                                                3: (3, 3, 3, 3)})
 
         def pin_bound():
             # every box counts as pinned, so the one-class target breaks the
