@@ -5,18 +5,20 @@ A point set M inside the box [p] x [q] that has more than
 r x r gridding with every cell nonempty.  The finder works block-wise:
 carve the box into blocks of side r^2, look for r blocks in one block
 column sharing r occupied original columns (which yields a gridding
-directly), and otherwise contract every block to a single point and
-recurse on the much smaller set.  Each level costs O(|M|), and the
-recursion shrinks geometrically once the set is trimmed to within a
-constant factor of the density threshold.
+directly; a round stops at the first block column that completes one),
+and otherwise contract every block to a single point and recurse on the
+much smaller set.  Each level costs O(|M|), and the recursion shrinks
+geometrically once the set is trimmed to within a constant factor of
+the density threshold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from .core import GridWitness, ParseError, Point, ValidationError, _int_fields, verify_grid
 
@@ -66,9 +68,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def transpose(self) -> "PointSet":
-        return PointSet._of_pairs(self.q, self.p, [(y, x) for x, y in self.points])
-
 
 def _raise_first_bad_point(p: int, q: int, pts: Tuple[Point, ...]) -> None:
     seen: Set[Point] = set()
@@ -117,81 +116,75 @@ def f_bound(r: int) -> int:
     return value
 
 
-def find_blocks(M: PointSet, r: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """Group M into blocks of side r^2: one (bx, by, cols) per nonempty
-    block, in block (x, y) order, with (bx, by) its 1-based position in
-    block units and cols its occupied original columns, ascending."""
+def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
+    """One round of the block argument, one block column at a time.
+
+    Blocks have side r^2, and a block is *wide* when it occupies at least
+    r original columns.  If some block column holds r wide blocks whose
+    first r occupied columns coincide, these give an r x r gridding of M
+    directly: cut between the shared columns and between the block rows.
+    Such a hit lies inside one block column, so the round walks the sorted
+    points block column by block column and stops at the first one that
+    completes a hit; the witness is the first completed in block (x, y)
+    scan order.  Otherwise return the contraction of M to one point per
+    nonempty block (box shrinks by r^2 per axis).
+    """
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
     side = r * r
-    # block (bx, by), 0-based, is keyed bx * rows + by: int keys sort in
-    # block (x, y) order.  Sorting input that is already sorted is linear
-    rows = (M.q + side - 1) // side
-    table: Dict[int, List[int]] = {}
-    for x, y in sorted(M.points):
-        key = (x - 1) // side * rows + (y - 1) // side
-        cols = table.get(key)
-        if cols is None:
-            table[key] = [x]
-        elif cols[-1] != x:
-            cols.append(x)
-    return [(key // rows + 1, key % rows + 1, tuple(cols))
-            for key, cols in sorted(table.items())]
-
-
-def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
-    """One round of the block argument.
-
-    A block is *wide* when it occupies at least r original columns.  If
-    some block column holds r wide blocks whose first r occupied columns
-    coincide, these give an r x r gridding of M directly: cut between the
-    shared columns and between the block rows.  Otherwise return the
-    contraction of M to one point per nonempty block (box shrinks by r^2
-    per axis).  The witness, when found, is the first completed in block
-    (x, y) scan order.
-    """
-    side = r * r
-    blocks = find_blocks(M, r)
-    hits: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-    found: Optional[Tuple[Tuple[int, ...], List[int]]] = None
-    wide_per_col: Dict[int, int] = {}
-    for bx, by, cols in blocks:
-        if len(cols) < r:
-            continue
-        wide_per_col[bx] = wide_per_col.get(bx, 0) + 1
-        rows = hits.setdefault((bx, cols[:r]), [])
-        rows.append(by)
-        if len(rows) == r:
-            found = (cols[:r], rows)
-            break
-
-    if found is not None:
-        S, ys = found
-        # representative point per (block row, shared column): smallest y
-        want_rows = set(ys)
-        want_cols = set(S)
-        rep: Dict[Tuple[int, int], int] = {}
-        for x, y in M.points:
-            if x in want_cols:
-                by = (y - 1) // side + 1
-                if by in want_rows and rep.get((by, x), y) >= y:
-                    rep[(by, x)] = y
-        col_cuts = [S[i] - 1 for i in range(1, r)]
-        row_cuts = [(ys[j] - 1) * side for j in range(1, r)]
-        witnesses = [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)] for j in range(r)]
-        w = GridWitness(col_cuts, row_cuts, witnesses)
-        if not verify_grid(M, w, r):
-            raise AssertionError("internal: wide-block witness failed verification")
-        return w
-
-    # no detection: every block column holds fewer than r blocks per shared
-    # column subset, hence fewer than r * C(r^2, r) wide blocks in total
     limit = r * comb(side, r)
-    if not all(c < limit for c in wide_per_col.values()):
-        raise AssertionError("wide-block bound violated")
-    p2 = (M.p + side - 1) // side
-    q2 = (M.q + side - 1) // side
-    return PointSet._of_pairs(p2, q2, [(bx, by) for bx, by, _ in blocks])
+    # sorting input that is already sorted is linear
+    pts = sorted(M.points)
+    contracted: List[Tuple[int, int]] = []
+    i = 0
+    while i < len(pts):
+        bx = (pts[i][0] - 1) // side + 1
+        end = bisect_left(pts, (bx * side + 1,), i)  # first point right of the block column
+        column = pts[i:end]
+        cols_of: Dict[int, List[int]] = {}  # block row -> its occupied columns, ascending
+        for x, y in column:
+            by = (y - 1) // side + 1
+            cols = cols_of.get(by)
+            if cols is None:
+                cols_of[by] = [x]
+            elif cols[-1] != x:
+                cols.append(x)
+        rows = sorted(cols_of)
+        hits: Dict[Tuple[int, ...], List[int]] = {}
+        wide = 0
+        for by in rows:
+            cols = cols_of[by]
+            if len(cols) < r:
+                continue
+            wide += 1
+            ys = hits.setdefault(tuple(cols[:r]), [])
+            ys.append(by)
+            if len(ys) == r:
+                return _block_witness(M, column, cols[:r], ys, side)
+        # no hit: fewer than r blocks per shared column subset, hence fewer
+        # than r * C(r^2, r) wide blocks in the block column
+        if wide >= limit:
+            raise AssertionError("wide-block bound violated")
+        contracted += [(bx, by) for by in rows]
+        i = end
+    return PointSet._of_pairs((M.p + side - 1) // side, (M.q + side - 1) // side, contracted)
+
+
+def _block_witness(M: PointSet, column: List[Tuple[int, int]], S: List[int],
+                   ys: List[int], side: int) -> GridWitness:
+    """The gridding of a hit: cuts between the shared columns S and the
+    block rows ys, and per (block row, shared column) its least point,
+    read from the hit's sorted block column alone; verified against M."""
+    r = len(S)
+    rep: Dict[Tuple[int, int], int] = {}
+    for x, y in column:  # (x, y) order: a key's first point has its least y
+        rep.setdefault(((y - 1) // side + 1, x), y)
+    w = GridWitness([S[i] - 1 for i in range(1, r)],
+                    [(ys[j] - 1) * side for j in range(1, r)],
+                    [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)] for j in range(r)])
+    if not verify_grid(M, w, r):
+        raise AssertionError("internal: wide-block witness failed verification")
+    return w
 
 
 def find_grid(M: PointSet, r: int) -> GridWitness:
@@ -215,15 +208,17 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
                               "(= f(%d) * (p + q - 2) with p = %d, q = %d)"
                               % (len(M), threshold, r, M.p, M.q))
 
-    # the transpose sorted by its first field: a stable sort keeps it fully
-    # sorted when M is sorted by column, so find_blocks' sort is linear
-    T = M.transpose()
-    res_t = find_grid_or_reduce(
-        PointSet._of_pairs(T.p, T.q, sorted(T.points, key=itemgetter(0))), r)
-    if isinstance(res_t, GridWitness):
-        w = GridWitness(res_t.row_cuts, res_t.col_cuts,
-                        [[Point(res_t.witnesses[i][j].y, res_t.witnesses[i][j].x)
-                          for i in range(res_t.r)] for j in range(res_t.r)])
+    # the transposed pairs sorted by their first field: a stable sort keeps
+    # them fully sorted when M is sorted by column, so the round's sort is
+    # linear
+    pairs = [(y, x) for x, y in M.points]
+    pairs.sort(key=itemgetter(0))
+    res = find_grid_or_reduce(PointSet._of_pairs(M.q, M.p, pairs), r)
+    del pairs
+    if isinstance(res, GridWitness):
+        w = GridWitness(res.row_cuts, res.col_cuts,
+                        [[Point(res.witnesses[i][j].y, res.witnesses[i][j].x)
+                          for i in range(res.r)] for j in range(res.r)])
         if not verify_grid(M, w, r):
             raise AssertionError("internal: transposed witness failed verification")
         return w
@@ -231,15 +226,13 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
     if isinstance(res, GridWitness):
         return res  # already verified against M
 
-    reduced = res
     side = r * r
-    inner_threshold = f * (reduced.p + reduced.q - 2)
-    if not (reduced.p + reduced.q > 2 and len(reduced) > inner_threshold):
+    inner_threshold = f * (res.p + res.q - 2)
+    if not (res.p + res.q > 2 and len(res) > inner_threshold):
         raise AssertionError("contraction lost too many points")
-    limit = (11 * inner_threshold) // 10
-    by_rows = sorted(reduced.points, key=lambda t: (t[1], t[0]))
-    trimmed = PointSet._of_pairs(reduced.p, reduced.q, by_rows[:limit])
-
+    by_rows = sorted(res.points, key=lambda t: (t[1], t[0]))
+    trimmed = PointSet._of_pairs(res.p, res.q, by_rows[:(11 * inner_threshold) // 10])
+    del res, by_rows  # only the trimmed set lives through the recursion
     sub = find_grid(trimmed, r)
 
     # lift block-unit cuts and witnesses back to original coordinates: a

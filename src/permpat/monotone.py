@@ -172,8 +172,15 @@ def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
     while remaining:
         ys = [word[l - 1] for l in remaining]
         inc = _longest_monotone(ys, decreasing=False)
-        dec = _longest_monotone(ys, decreasing=True)
-        take, direction = (inc, INCREASING) if len(inc) >= len(dec) else (dec, DECREASING)
+        take, direction = inc, INCREASING
+        # an increasing and a decreasing subsequence share at most one
+        # position, so len(dec) <= len(ys) + 1 - len(inc); once
+        # 2 * len(inc) > len(ys) that is at most len(inc), and ties go to
+        # increasing: the decreasing pass cannot win
+        if 2 * len(inc) <= len(ys):
+            dec = _longest_monotone(ys, decreasing=True)
+            if len(dec) > len(inc):
+                take, direction = dec, DECREASING
         chosen = set(take)
         classes.append((tuple(remaining[i] for i in take), direction))
         remaining = [l for i, l in enumerate(remaining) if i not in chosen]

@@ -8,12 +8,14 @@ row-sweep decomposition, substitution, the (6t-5)-wide decomposition of
 a t-monotone target, a check of the decomposition builder's gridding
 after every merge, the raw constraint relations of the
 class-respecting embedding problem with their median, close pairs, the
-tree characterization of d-wide sequences, and separability.
+tree characterization of d-wide sequences, separability, and the grid
+finder's whole-set block round.
 """
 
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from math import comb
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import permpat.decompose as dec
 from permpat import (
@@ -25,11 +27,13 @@ from permpat import (
     ParseError,
     Permutation,
     Point,
+    PointSet,
     SizeCapError,
     ValidationError,
     build_decomposition,
     validate_merge_sequence,
     validate_monotone_partition,
+    verify_grid,
 )
 from permpat.matcher import Box
 from permpat.monotone import PatternAssignment
@@ -596,3 +600,60 @@ def is_separable(perm: Permutation) -> bool:
             if c is not None and c in alive:
                 work.append(c)
     return remaining == 1
+
+
+# ---------------------------------------------------------------------------
+# the grid finder's block round over the whole set
+# ---------------------------------------------------------------------------
+
+def find_blocks(M: PointSet, r: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """Group M into blocks of side r^2: one (bx, by, cols) per nonempty
+    block, in block (x, y) order, with (bx, by) its 1-based position in
+    block units and cols its occupied original columns, ascending."""
+    side = r * r
+    rows = (M.q + side - 1) // side
+    table: Dict[int, List[int]] = {}
+    for x, y in sorted(M.points):
+        key = (x - 1) // side * rows + (y - 1) // side
+        cols = table.get(key)
+        if cols is None:
+            table[key] = [x]
+        elif cols[-1] != x:
+            cols.append(x)
+    return [(key // rows + 1, key % rows + 1, tuple(cols))
+            for key, cols in sorted(table.items())]
+
+
+def whole_set_block_round(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
+    """Reference for ``griddetect.find_grid_or_reduce``: block all of M
+    first, then scan the blocks in block (x, y) order for r wide blocks of
+    one block column with the same first r columns; the first such hit's
+    gridding, or else the contraction to one point per nonempty block."""
+    side = r * r
+    blocks = find_blocks(M, r)
+    hits: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    wide_per_col: Dict[int, int] = {}
+    for bx, by, cols in blocks:
+        if len(cols) < r:
+            continue
+        wide_per_col[bx] = wide_per_col.get(bx, 0) + 1
+        ys = hits.setdefault((bx, cols[:r]), [])
+        ys.append(by)
+        if len(ys) == r:
+            S = cols[:r]
+            rep: Dict[Tuple[int, int], int] = {}
+            for x, y in M.points:
+                by = (y - 1) // side + 1
+                if x in S and by in ys and rep.get((by, x), y) >= y:
+                    rep[(by, x)] = y
+            w = GridWitness([S[i] - 1 for i in range(1, r)],
+                            [(ys[j] - 1) * side for j in range(1, r)],
+                            [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)]
+                             for j in range(r)])
+            if not verify_grid(M, w, r):
+                raise AssertionError("reference witness failed verification")
+            return w
+    if not all(c < r * comb(side, r) for c in wide_per_col.values()):
+        raise AssertionError("wide-block bound violated")
+    return PointSet((M.p + side - 1) // side, (M.q + side - 1) // side,
+                    [(bx, by) for bx, by, _ in blocks])

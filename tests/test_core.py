@@ -257,7 +257,7 @@ def test_all_lists_exactly_the_public_names():
         "validate_monotone_partition", "verify_embedding", "verify_grid", "verify_wide",
         "width_of_decomposition", "__version__"}
     # the internal steps of one layer stay importable from their modules
-    for module, attr in [("core", "reduce"), ("griddetect", "find_blocks"),
+    for module, attr in [("core", "reduce"),
                          ("griddetect", "find_grid_or_reduce"), ("matcher", "connected_sets"),
                          ("matcher", "VisibilityGraph"), ("monotone", "sigma_pi_embedding"),
                          ("monotone", "PatternAssignment")]:

@@ -17,7 +17,9 @@ from permpat import (
     parse_point_set,
     verify_grid,
 )
-from permpat.griddetect import find_blocks, find_grid_or_reduce
+from permpat.griddetect import find_grid_or_reduce
+
+from helpers import whole_set_block_round
 
 
 def test_f_bound_frozen_values():
@@ -90,18 +92,31 @@ def test_point_set_text_round_trip():
         parse_point_set("2 2\n1 x")
 
 
-def test_transpose_involution():
-    ps = parse_point_set("4 2\n1 1\n4 2\n2 2")
-    assert ps.transpose().transpose() == ps
-    t = ps.transpose()
-    assert (t.p, t.q) == (2, 4) and t.points == ((1, 1), (2, 4), (2, 2))
-
-
 def test_find_blocks_on_packed_square():
-    # 4x4 box is a single block of side r^2 = 4 when r = 2
+    # 4x4 box is a single block of side r^2 = 4 when r = 2: one wide block
+    # is no hit, so the round contracts it to one point
     pts = [Point(x, y) for x in range(1, 5) for y in range(1, 5)]
-    blocks = find_blocks(PointSet(4, 4, pts), 2)
-    assert blocks == [(1, 1, (1, 2, 3, 4))]
+    assert find_grid_or_reduce(PointSet(4, 4, pts), 2) == PointSet(1, 1, [(1, 1)])
+
+
+def test_block_round_agrees_with_the_whole_set_round():
+    # the round that stops at the first block column completing a hit
+    # returns what blocking the whole set first returns: the same witness,
+    # or the same contraction in the same point order
+    rng = random.Random(5)
+    seen = {GridWitness: 0, PointSet: 0}
+    for case in range(600):
+        p, q, r = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 3)
+        density = rng.choice((0.1, 0.4, 0.7, 0.95))
+        pts = [(x, y) for x in range(1, p + 1) for y in range(1, q + 1)
+               if rng.random() < density]
+        if case % 2:
+            rng.shuffle(pts)
+        M = PointSet(p, q, pts)
+        got, want = find_grid_or_reduce(M, r), whole_set_block_round(M, r)
+        assert type(got) is type(want) and got == want, (p, q, r, pts)
+        seen[type(got)] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_find_grid_requires_density():
