@@ -62,7 +62,7 @@ from .core import (
     validate_merge_sequence,
     verify_grid,
 )
-from .griddetect import PointSet, f_bound, find_grid
+from .griddetect import Columns, PointSet, f_bound, find_grid
 
 
 @dataclass(frozen=True)
@@ -412,15 +412,15 @@ def _dense(p: int, q: int, cells: int, d: int) -> bool:
     return p + q > 2 and 4 * cells > d * (p + q - 2)
 
 
-def _dense_cells(state: _State) -> Tuple[List[List[int]], List[int], List[int]]:
-    """A stalled gridding's occupied cells, as the 0-based positions of
-    each live column's occupied rows among the live rows, and the live
-    columns' and rows' bounds: 0, then each line's end coordinate."""
+def _dense_cells(state: _State) -> Tuple[Columns, List[int], List[int]]:
+    """A stalled gridding's occupied cells, indexed by the live lines'
+    positions, and the live columns' and rows' bounds: 0, then each line's
+    end coordinate."""
     cols = _lines(state.cols)
     rows = _lines(state.rows)
     row_pos = {line: pos for pos, line in enumerate(rows)}
     ccells = state.cols.cells
-    occupied = [[row_pos[row] for row in ccells[col]] for col in cols]
+    occupied = Columns(len(rows), [{row_pos[row] for row in ccells[col]} for col in cols])
     return (occupied, [0, *(state.cols.hi[c] for c in cols)],
             [0, *(state.rows.hi[w] for w in rows)])
 
@@ -458,16 +458,16 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         stats.update(coarsen_cols=0, coarsen_rows=0, merges=0, dense=False)
     n = len(perm)
     row_of = [(y - 1) // d for y in perm.word]  # label l's starting row is row_of[l - 1]
-    occupied = None
+    M = None
     if r is not None:
         # the rows each starting column occupies; merging inside a cell
         # changes neither the occupied cells nor the lines, so a dense start
         # skips it, and a sparse one may still stall
-        occupied = [set(row_of[lo:lo + d]) for lo in range(0, n, d)]
         xs = ys = [*range(0, n, d), n]
-        if not _dense(len(occupied), len(occupied), sum(map(len, occupied)), d):
-            occupied = None
-    if occupied is None:
+        M = Columns(len(ys) - 1, [set(row_of[lo:lo + d]) for lo in range(0, n, d)])
+        if not _dense(M.p, M.q, len(M), d):
+            M = None
+    if M is None:
         state = _build_state(n, d, row_of)
         complete = _merge_loop(state, stats)
         if stats is not None:
@@ -475,17 +475,15 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         if complete:
             seq = MergeSequence._of_steps(state.steps)
             return DecompositionResult(seq=seq, grid=None, width_bound=d)
-        occupied, xs, ys = _dense_cells(state)
+        M, xs, ys = _dense_cells(state)
     if stats is not None:
         stats["dense"] = True
-    M = PointSet._of_pairs(len(xs) - 1, len(ys) - 1,
-                           [(c, w + 1) for c, col in enumerate(occupied, 1) for w in sorted(col)])
     # at a stall every cell holds one rectangle and consecutive lines are
     # over budget, which forces the density the grid finder needs
     if not _dense(M.p, M.q, len(M), d):
         raise AssertionError("dense branch below threshold")
     if r is None:
-        return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M)
+        return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M.point_set())
     sub = find_grid(M, r)
     # line c spans the coordinates xs[c - 1] + 1 .. xs[c] (ys for rows): a
     # cut after it lifts to xs[c], and a witness cell to its least label (at

@@ -10,15 +10,21 @@ and otherwise contract every block to a single point and recurse on the
 much smaller set.  Each level costs O(|M|), and the recursion shrinks
 geometrically once the set is trimmed to within a constant factor of
 the density threshold.
+
+The finder reads M as ``Columns``, each column's set of occupied rows,
+which is how the decomposition builder holds its cells.  The round on M
+reads these sets a block column at a time; the round on the transpose
+reads a block row at a time, by membership tests over the columns.
+Neither copies nor sorts the points, so a hit in an early block column
+costs little more than reading that block column.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
-from operator import itemgetter
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from .core import GridWitness, ParseError, Point, ValidationError, _int_fields, verify_grid
 
@@ -32,8 +38,8 @@ class PointSet:
     Unlike a permutation, rows and columns may hold several points;
     exact duplicates are rejected.  The constructor checks its input:
     the box dimensions and both fields of every point must be exactly
-    ints, and every point becomes a ``Point``.  The sets the builder and
-    the grid finder make for themselves hold plain int pairs.
+    ints, and every point becomes a ``Point``.  The sets made from a
+    ``Columns`` hold plain int pairs.
     """
 
     p: int
@@ -67,6 +73,38 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+class Columns:
+    """Points inside [1..p] x [1..q] held column by column, as the grid
+    finder reads them and the builder holds its cells: ``cols[x]`` is the
+    set of 0-based rows occupied in column x + 1, and p = len(cols)."""
+
+    __slots__ = ("p", "q", "cols")
+
+    def __init__(self, q: int, cols: List[Set[int]]):
+        self.p = len(cols)
+        self.q = q
+        self.cols = cols
+
+    @classmethod
+    def of(cls, M: PointSet) -> "Columns":
+        cols: List[Set[int]] = [set() for _ in range(M.p)]
+        for x, y in M.points:
+            cols[x - 1].add(y - 1)
+        return cls(M.q, cols)
+
+    def point_set(self) -> PointSet:
+        """The points as a PointSet of int pairs, in (x, y) order."""
+        pairs = [(x, y + 1) for x, rows in enumerate(self.cols, 1) for y in sorted(rows)]
+        return PointSet._of_pairs(self.p, self.q, pairs)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.cols))
+
+    def __contains__(self, pt) -> bool:
+        x, y = pt
+        return 0 < x <= self.p and y - 1 in self.cols[x - 1]
 
 
 def _raise_first_bad_point(p: int, q: int, pts: Tuple[Point, ...]) -> None:
@@ -116,88 +154,112 @@ def f_bound(r: int) -> int:
     return value
 
 
-def find_grid_or_reduce(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
-    """One round of the block argument, one block column at a time.
+def find_grid_or_reduce(M: Union[Columns, PointSet], r: int,
+                        transposed: bool = False) -> Union[GridWitness, Columns, PointSet]:
+    """One round of the block argument on M, or on its transpose.
 
     Blocks have side r^2, and a block is *wide* when it occupies at least
     r original columns.  If some block column holds r wide blocks whose
     first r occupied columns coincide, these give an r x r gridding of M
     directly: cut between the shared columns and between the block rows.
-    Such a hit lies inside one block column, so the round walks the sorted
-    points block column by block column and stops at the first one that
-    completes a hit; the witness is the first completed in block (x, y)
-    scan order.  Otherwise return the contraction of M to one point per
-    nonempty block (box shrinks by r^2 per axis).
+    The round reads M column by column (row by row from ``_rows`` when
+    transposed) and returns the first such hit in block (x, y) scan order,
+    in M's coordinates and verified, at the block column that completes
+    it.  Otherwise it returns the contraction of the round's set to one
+    point per nonempty block (box shrinks by r^2 per axis).  A PointSet is
+    read as its ``Columns``, and its contraction returned as a PointSet.
+
+    Work: a hit in block column b reads b block columns.  A miss reads
+    each point once, makes at most |M| membership tests and sorts each
+    block column's occupied block rows: O(|M| log q + p + q), within the
+    O(|M| log |M|) of sorting the points.
     """
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
+    if isinstance(M, PointSet):
+        res = find_grid_or_reduce(Columns.of(M), r, transposed)
+        return res if isinstance(res, GridWitness) else res.point_set()
     side = r * r
     limit = r * comb(side, r)
-    # sorting input that is already sorted is linear
-    pts = sorted(M.points)
-    contracted: List[Tuple[int, int]] = []
-    i = 0
-    while i < len(pts):
-        bx = (pts[i][0] - 1) // side + 1
-        end = bisect_left(pts, (bx * side + 1,), i)  # first point right of the block column
-        column = pts[i:end]
-        cols_of: Dict[int, List[int]] = {}  # block row -> its occupied columns, ascending
-        for x, y in column:
-            by = (y - 1) // side + 1
-            cols = cols_of.get(by)
-            if cols is None:
-                cols_of[by] = [x]
-            elif cols[-1] != x:
-                cols.append(x)
-        rows = sorted(cols_of)
+    lines, depth, read = (M.q, M.p, _rows(M)) if transposed else (M.p, M.q, iter(M.cols))
+    contracted: List[Set[int]] = []
+    for lo in range(0, lines, side):
+        block_col = list(islice(read, side))  # lines lo .. lo + side - 1
+        lines_of: Dict[int, List[int]] = {}  # block row -> its occupied lines, ascending
+        for t, line in enumerate(block_col, lo):
+            for v in line:
+                by = v // side
+                ts = lines_of.get(by)
+                if ts is None:
+                    lines_of[by] = [t]
+                elif ts[-1] != t:
+                    ts.append(t)
         hits: Dict[Tuple[int, ...], List[int]] = {}
         wide = 0
-        for by in rows:
-            cols = cols_of[by]
-            if len(cols) < r:
+        for by in sorted(lines_of):
+            ts = lines_of[by]
+            if len(ts) < r:
                 continue
             wide += 1
-            ys = hits.setdefault(tuple(cols[:r]), [])
+            ys = hits.setdefault(tuple(ts[:r]), [])
             ys.append(by)
             if len(ys) == r:
-                return _block_witness(M, column, cols[:r], ys, side)
-        # no hit: fewer than r blocks per shared column subset, hence fewer
+                return _block_witness(M, block_col, lo, ts[:r], ys, side, transposed)
+        # no hit: fewer than r blocks per shared line subset, hence fewer
         # than r * C(r^2, r) wide blocks in the block column
         if wide >= limit:
             raise AssertionError("wide-block bound violated")
-        contracted += [(bx, by) for by in rows]
-        i = end
-    return PointSet._of_pairs((M.p + side - 1) // side, (M.q + side - 1) // side, contracted)
+        contracted.append(set(lines_of))
+    return Columns((depth + side - 1) // side, contracted)
 
 
-def _block_witness(M: PointSet, column: List[Tuple[int, int]], S: List[int],
-                   ys: List[int], side: int) -> GridWitness:
-    """The gridding of a hit: cuts between the shared columns S and the
-    block rows ys, and per (block row, shared column) its least point,
-    read from the hit's sorted block column alone; verified against M."""
-    r = len(S)
-    rep: Dict[Tuple[int, int], int] = {}
-    for x, y in column:  # (x, y) order: a key's first point has its least y
-        rep.setdefault(((y - 1) // side + 1, x), y)
-    w = GridWitness([S[i] - 1 for i in range(1, r)],
-                    [(ys[j] - 1) * side for j in range(1, r)],
-                    [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)] for j in range(r)])
-    if not verify_grid(M, w, r):
+def _rows(M: Columns) -> Iterator[List[int]]:
+    """M's rows bottom to top, each as its occupied 0-based columns,
+    ascending: the first |M| // p rows by p membership tests each, the
+    rest from one pass over the columns."""
+    cols = M.cols
+    tested = min(M.q, len(M) // max(M.p, 1))
+    for y in range(tested):
+        yield [x for x, rows in enumerate(cols) if y in rows]
+    rest: List[List[int]] = [[] for _ in range(tested, M.q)]
+    for x, rows in enumerate(cols):
+        for y in rows:
+            if y >= tested:
+                rest[y - tested].append(x)
+    yield from rest
+
+
+def _block_witness(M: Columns, block_col: List, lo: int, S: List[int], ys: List[int],
+                   side: int, transposed: bool) -> GridWitness:
+    """The gridding of a hit in the block column of lines lo, lo + 1, ...
+    (each given by its occupied cross coordinates), with shared lines S
+    and block rows ys, 0-based: cuts after the lines S[1:] and below the
+    block rows ys[1:], and per cell the least point of its line and block."""
+    cuts = (S[1:], [b * side for b in ys[1:]])
+    cells = [[(s + 1, min(v for v in block_col[s - lo] if v // side == b) + 1) for s in S]
+             for b in ys]
+    if transposed:  # cell (i, j) of the transpose is cell (j, i) of M
+        cuts, cells = cuts[::-1], [[(y, x) for x, y in row] for row in zip(*cells)]
+    w = GridWitness(*cuts, cells)
+    if not verify_grid(M, w, len(S)):
         raise AssertionError("internal: wide-block witness failed verification")
     return w
 
 
-def find_grid(M: PointSet, r: int) -> GridWitness:
-    """Find an r x r gridding of M; requires the density precondition
-    |M| > f(r) * (p + q - 2) with p + q > 2, which guarantees existence.
+def find_grid(M: Union[Columns, PointSet], r: int) -> GridWitness:
+    """Find an r x r gridding of M (a PointSet is read as its ``Columns``);
+    requires the density precondition |M| > f(r) * (p + q - 2) with
+    p + q > 2, which guarantees existence.
 
-    Tries the block argument on the transpose first, then on M itself; if
+    Tries the block round on the transpose first, then on M itself; if
     both rounds reduce, recurses on the contracted set trimmed in row-major
     point order to at most 1.1x the density threshold, and lifts the
     returned cuts/witnesses from block units back to original coordinates
     (witness = smallest original point of its block).  The result is
     verified before every return.
     """
+    if isinstance(M, PointSet):
+        M = Columns.of(M)
     f = f_bound(r)
     if M.p + M.q <= 2:
         raise ValidationError("density precondition needs p + q > 2, got p = %d, q = %d"
@@ -207,45 +269,31 @@ def find_grid(M: PointSet, r: int) -> GridWitness:
         raise ValidationError("density precondition violated: |M| = %d but need > %d "
                               "(= f(%d) * (p + q - 2) with p = %d, q = %d)"
                               % (len(M), threshold, r, M.p, M.q))
-
-    # the transposed pairs sorted by their first field: a stable sort keeps
-    # them fully sorted when M is sorted by column, so the round's sort is
-    # linear
-    pairs = [(y, x) for x, y in M.points]
-    pairs.sort(key=itemgetter(0))
-    res = find_grid_or_reduce(PointSet._of_pairs(M.q, M.p, pairs), r)
-    del pairs
-    if isinstance(res, GridWitness):
-        w = GridWitness(res.row_cuts, res.col_cuts,
-                        [[Point(res.witnesses[i][j].y, res.witnesses[i][j].x)
-                          for i in range(res.r)] for j in range(res.r)])
-        if not verify_grid(M, w, r):
-            raise AssertionError("internal: transposed witness failed verification")
-        return w
-    res = find_grid_or_reduce(M, r)
-    if isinstance(res, GridWitness):
-        return res  # already verified against M
+    for transposed in (True, False):
+        res = find_grid_or_reduce(M, r, transposed)
+        if isinstance(res, GridWitness):
+            return res  # already verified against M
 
     side = r * r
     inner_threshold = f * (res.p + res.q - 2)
     if not (res.p + res.q > 2 and len(res) > inner_threshold):
         raise AssertionError("contraction lost too many points")
-    by_rows = sorted(res.points, key=lambda t: (t[1], t[0]))
-    trimmed = PointSet._of_pairs(res.p, res.q, by_rows[:(11 * inner_threshold) // 10])
-    del res, by_rows  # only the trimmed set lives through the recursion
+    trimmed = Columns(res.q, [set() for _ in range(res.p)])
+    row_major = ((x, y) for y, row in enumerate(_rows(res)) for x in row)
+    for x, y in islice(row_major, (11 * inner_threshold) // 10):
+        trimmed.cols[x].add(y)
+    del res, row_major  # only the trimmed set lives through the recursion
     sub = find_grid(trimmed, r)
 
     # lift block-unit cuts and witnesses back to original coordinates: a
-    # witness block's least point, in one pass over M
-    blk_min: Dict[Tuple[int, int], Tuple[int, int]] = {
-        pt: (M.p + 1, M.q + 1) for row in sub.witnesses for pt in row}
-    for pt in M.points:
-        cell = ((pt[0] - 1) // side + 1, (pt[1] - 1) // side + 1)
-        if pt < blk_min.get(cell, pt):
-            blk_min[cell] = pt
+    # witness block's least point in (x, y) order
+    cols = M.cols
     w = GridWitness([c * side for c in sub.col_cuts],
                     [c * side for c in sub.row_cuts],
-                    [[blk_min[sub.witnesses[j][i]] for i in range(r)] for j in range(r)])
+                    [[next(Point(x + 1, y + 1)
+                           for x in range(bx * side - side, min(bx * side, M.p))
+                           for y in range(by * side - side, by * side) if y in cols[x])
+                      for bx, by in row] for row in sub.witnesses])
     if not verify_grid(M, w, r):
         raise AssertionError("internal: lifted witness failed verification")
     return w

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,29 @@ def test_a_sparse_start_builds_a_complete_sequence():
     res = build_decomposition(perm, 2, stats=stats)
     assert res.seq is not None and len(res.seq) == 89999
     assert stats["merges"] == 89999 and not stats["dense"]
+
+
+def test_a_dense_start_builds_no_pair_list_of_its_cells():
+    # the grid exit hands the finder the starting column sets as they are:
+    # beyond the row per label and those sets, the build allocates less
+    # than an eighth of one list of the 69,416 cells as 2-tuples (64 bytes
+    # a cell), so it builds no such list
+    perm = random_permutation(120000, 1)
+    n, d = len(perm), 384
+    tracemalloc.start()
+    try:
+        row_of = [(y - 1) // d for y in perm.word]
+        occupied = [set(row_of[lo:lo + d]) for lo in range(0, n, d)]
+        held = tracemalloc.get_traced_memory()[0]
+        cells = sum(map(len, occupied))
+        del row_of, occupied
+        tracemalloc.clear_traces()
+        res = build_decomposition(perm, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.is_grid and cells == 69416
+    assert peak - held < 64 * cells // 8, (peak, held)
 
 
 def test_a_build_from_d_merges_from_a_dense_start(monkeypatch):

@@ -17,7 +17,7 @@ from permpat import (
     parse_point_set,
     verify_grid,
 )
-from permpat.griddetect import find_grid_or_reduce
+from permpat.griddetect import Columns, find_grid_or_reduce
 
 from helpers import whole_set_block_round
 
@@ -117,6 +117,70 @@ def test_block_round_agrees_with_the_whole_set_round():
         assert type(got) is type(want) and got == want, (p, q, r, pts)
         seen[type(got)] += 1
     assert min(seen.values()) > 100, seen
+
+
+def _transposed(w: GridWitness) -> GridWitness:
+    return GridWitness(w.row_cuts, w.col_cuts,
+                       [[Point(w.witnesses[i][j].y, w.witnesses[i][j].x) for i in range(w.r)]
+                        for j in range(w.r)])
+
+
+def test_column_view_rounds_agree_with_the_whole_set_round():
+    # both rounds on the column view, and again on its contraction one level
+    # down, return what blocking the whole set (or its transpose) returns:
+    # the same witness, in M's coordinates, or the same contraction
+    rng = random.Random(8)
+    seen = {"hit": 0, "later hit": 0, "transposed hit": 0, "miss": 0, "level 1": 0}
+    for case in range(400):
+        r = 2 + case % 2
+        p, q = rng.randint(1, 70), rng.randint(1, 70)
+        # sparse columns up to a random split, then denser ones, so that
+        # some hits come in later block columns
+        split = rng.randint(0, p)
+        low, high = rng.choice((0.02, 0.1)), rng.choice((0.05, 0.3, 0.7, 0.95))
+        pts = [(x, y) for x in range(1, p + 1) for y in range(1, q + 1)
+               if rng.random() < (low if x <= split else high)]
+        M = PointSet(p, q, pts)
+        V = Columns.of(M)
+        for level in range(2):
+            T = PointSet(M.q, M.p, [(y, x) for x, y in M.points])
+            want_t, got_t = whole_set_block_round(T, r), find_grid_or_reduce(V, r, True)
+            if isinstance(want_t, GridWitness):
+                assert got_t == _transposed(want_t), (case, level)
+                seen["transposed hit"] += 1
+            else:
+                assert isinstance(got_t, Columns) and got_t.point_set() == want_t, (case, level)
+            want, got = whole_set_block_round(M, r), find_grid_or_reduce(V, r)
+            if isinstance(want, GridWitness):
+                assert got == want, (case, level)
+                seen["later hit" if want.witnesses[0][0].x > r * r else "hit"] += 1
+                break
+            assert isinstance(got, Columns) and got.point_set() == want, (case, level)
+            seen["miss"] += isinstance(want_t, PointSet)
+            if not len(want):
+                break
+            M, V = want, got
+            seen["level 1"] += level == 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_transposed_round_miss_makes_at_most_one_membership_test_per_point():
+    # every fourth row is full, so no block of the transpose holds two
+    # occupied rows and the transposed round misses: it tests p columns per
+    # row while the tests total at most |M|, and buckets the other rows in
+    # one pass over the columns
+    class CountingSet(set):
+        tests = 0
+
+        def __contains__(self, v):
+            CountingSet.tests += 1
+            return super().__contains__(v)
+
+    V = Columns(400, [CountingSet(range(0, 400, 4)) for _ in range(50)])
+    res = find_grid_or_reduce(V, 2, True)
+    # 100 block columns of the transpose, each with 13 nonempty blocks
+    assert isinstance(res, Columns) and len(res) == 100 * 13
+    assert CountingSet.tests == len(V) == 5000
 
 
 def test_find_grid_requires_density():
