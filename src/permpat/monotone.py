@@ -10,9 +10,10 @@ build on a t-monotone partition of the target:
   window of positions, and ``_narrow`` tightens the windows by the
   constraints, each a ``bisect`` against the other label's extreme
   coordinate, until nothing changes; an empty window refutes the
-  commitment.  Otherwise a binary search per label, in label order,
-  fixes the least position that narrows without emptying a window, which
-  gives the lexicographically least embedding without backtracking.
+  commitment.  Otherwise, per label in label order, a trial at the
+  window's low end, then a binary search if it fails, fixes the least
+  position that narrows without emptying a window, which gives the
+  lexicographically least embedding without backtracking.
 * ``_search`` commits the labels to classes depth first and narrows at
   every prefix, which is forward checking in the CSP view of pattern
   matching.  A prefix keeps its narrowed windows, and the next label
@@ -34,8 +35,9 @@ No dynamic-programming tables are kept, so memory stays polynomial.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import neg
 from dataclasses import dataclass
+from itertools import compress
+from operator import gt, lt, neg
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -67,7 +69,7 @@ class MonotonePartition:
                 raise ValidationError("class direction must be 'inc' or 'dec', got %r" % (direction,))
             if not labels:
                 raise ValidationError("partition classes must be nonempty")
-            if any(type(s) is not int for s in labels):
+            if not set(map(type, labels)) <= {int}:
                 raise ValidationError("class labels must be ints, got %r" % (labels,))
         object.__setattr__(self, "classes", tuple((tuple(sorted(labels)), direction)
                                                   for labels, direction in self.classes))
@@ -102,9 +104,7 @@ def parse_monotone_partition(text: str) -> MonotonePartition:
 
 def _is_monotone(ys: Sequence[int], direction: str) -> bool:
     """Whether the values, read in x-order, run in ``direction``."""
-    if direction == INCREASING:
-        return all(a < b for a, b in zip(ys, ys[1:]))
-    return all(a > b for a, b in zip(ys, ys[1:]))
+    return all(map(lt if direction == INCREASING else gt, ys, ys[1:]))
 
 
 def validate_monotone_partition(perm: Permutation, part: MonotonePartition) -> None:
@@ -115,9 +115,10 @@ def validate_monotone_partition(perm: Permutation, part: MonotonePartition) -> N
     seen: Set[int] = set()
     total = 0
     for idx, (labels, direction) in enumerate(part.classes, start=1):
-        for s in labels:
-            if not 1 <= s <= n:
-                raise ValidationError("class %d: label %d is not in the permutation" % (idx, s))
+        if labels[0] < 1 or labels[-1] > n:  # labels are sorted
+            for s in labels:
+                if not 1 <= s <= n:
+                    raise ValidationError("class %d: label %d is not in the permutation" % (idx, s))
         seen.update(labels)
         total += len(labels)
         if not _is_monotone([word[s - 1] for s in labels], direction):
@@ -132,32 +133,30 @@ def validate_monotone_partition(perm: Permutation, part: MonotonePartition) -> N
 
 def _longest_monotone(values: List[int], decreasing: bool) -> List[int]:
     """Indices of a longest increasing — or decreasing — subsequence of
-    ``values``, preferring the lexicographically least position set."""
-    m = len(values)
-    ys = [-v for v in values] if decreasing else values
-    # best[i] = length of the longest run starting at i.  A run starting
-    # at i is, read right to left with y negated, a strictly increasing
-    # run ending there — so one patience pass over the reversed sequence
-    # gives every value.
-    best = [0] * m
+    ``values``, preferring the lexicographically least position set: one
+    patience pass over the values right to left, negated for an increasing
+    run, then a greedy read-off."""
+    # best[i] = length of the longest run starting at i: read right to
+    # left, and negated if increasing, that run ascends and ends at i.
+    best: List[int] = []
     tails: List[int] = []
-    for r in range(m - 1, -1, -1):
-        v = -ys[r]
+    for v in values[::-1] if decreasing else map(neg, values[::-1]):
         idx = bisect_left(tails, v)
         if idx == len(tails):
             tails.append(v)
         else:
             tails[idx] = v
-        best[r] = idx + 1
+        best.append(idx + 1)
+    best.reverse()
     # Read the run off greedily, each time at the first position that can
     # go on.  Values are distinct, and two positions a < b with one best
-    # value have ys[a] > ys[b], else a would start a longer run through b.
-    # After position j of the run, some later position of best value
-    # best[j] - 1 continues it; the first such position lies at or before
-    # that one, is at least as high, and so continues the run too.
+    # value are out of the run's order, else a would start a longer run
+    # through b.  After position j of the run, some later position of best
+    # value best[j] - 1 continues it; the first such position lies at or
+    # before that one, is past it in the run's order, and so continues it.
     out: List[int] = []
     j = -1
-    for need in range(max(best), 0, -1):
+    for need in range(len(tails), 0, -1):
         j = best.index(need, j + 1)
         out.append(j)
     return out
@@ -165,12 +164,17 @@ def _longest_monotone(values: List[int], decreasing: bool) -> List[int]:
 
 def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
     """Repeatedly strip a longest monotone subsequence (ties to
-    increasing); never more than 2*ceil(sqrt(n)) classes."""
-    word = perm.word
-    remaining = list(range(1, len(word) + 1))  # labels, in x-order
+    increasing); never more than 2*ceil(sqrt(n)) classes.  A remainder
+    that is already increasing, or else decreasing, is the last class:
+    no patience pass runs on it, and a single point stays increasing."""
+    remaining = list(range(1, len(perm) + 1))  # labels, in x-order
+    ys = list(perm.word)  # their values
     classes = []
     while remaining:
-        ys = [word[l - 1] for l in remaining]
+        direction = next((d for d in (INCREASING, DECREASING) if _is_monotone(ys, d)), None)
+        if direction:
+            classes.append((tuple(remaining), direction))
+            break
         inc = _longest_monotone(ys, decreasing=False)
         take, direction = inc, INCREASING
         # an increasing and a decreasing subsequence share at most one
@@ -181,9 +185,12 @@ def greedy_monotone_partition(perm: Permutation) -> MonotonePartition:
             dec = _longest_monotone(ys, decreasing=True)
             if len(dec) > len(inc):
                 take, direction = dec, DECREASING
-        chosen = set(take)
-        classes.append((tuple(remaining[i] for i in take), direction))
-        remaining = [l for i, l in enumerate(remaining) if i not in chosen]
+        keep = [True] * len(ys)
+        for i in take:
+            keep[i] = False
+        classes.append((tuple(map(remaining.__getitem__, take)), direction))
+        remaining = list(compress(remaining, keep))
+        ys = list(compress(ys, keep))
     return MonotonePartition(tuple(classes))
 
 
@@ -201,33 +208,34 @@ def _narrow(rules: Sequence[tuple], lo: List[int], hi: List[int]) -> bool:
     Both coordinates of a rule are monotone in position, so one ``bisect``
     against the other label's extreme value over its window tightens one
     end: u's coordinate must stay below w's largest, and w's above u's
-    smallest.  Every rule is a necessary condition, so no position of a
-    solution inside the windows is ever cut."""
+    smallest; a decreasing list is stored negated, so all ascend.  Every
+    rule is a necessary condition, so no position of a solution inside the
+    windows is ever cut."""
     changed = True
     while changed:
         changed = False
         for u, w, A, B, inc_a, inc_b in rules:
-            top = B[hi[w]] if inc_b else B[lo[w]]  # w's largest coordinate
+            top = B[hi[w]] if inc_b else -B[lo[w]]  # w's largest coordinate
             if inc_a:
                 p = bisect_left(A, top) - 1
                 if p < hi[u]:
                     hi[u] = p
                     changed = True
             else:
-                p = bisect_right(A, -top, key=neg)
+                p = bisect_right(A, -top)
                 if p > lo[u]:
                     lo[u] = p
                     changed = True
             if lo[u] > hi[u]:
                 return False
-            bottom = A[lo[u]] if inc_a else A[hi[u]]  # u's smallest coordinate
+            bottom = A[lo[u]] if inc_a else -A[hi[u]]  # u's smallest coordinate
             if inc_b:
                 p = bisect_right(B, bottom)
                 if p > lo[w]:
                     lo[w] = p
                     changed = True
             else:
-                p = bisect_left(B, -bottom, key=neg) - 1
+                p = bisect_left(B, -bottom) - 1
                 if p < hi[w]:
                     hi[w] = p
                     changed = True
@@ -250,27 +258,30 @@ def _search(sigma: Permutation, pi: Permutation, part: MonotonePartition,
     linking it to each earlier label, each as ``(u, w, A, B, inc_a,
     inc_b)``: "coordinate of u < coordinate of w", where ``A``/``B`` list
     the coordinate by position in u's/w's class and ``inc_a``/``inc_b``
-    say whether it grows with position.  The prefix's narrowed windows,
+    say whether it grows with position; a decreasing class's y-list is
+    stored negated, so it ascends too.  The prefix's narrowed windows,
     with s's full window added, are narrowed again."""
     ell = len(sigma)
     sw = sigma.word
     xs = [members for members, _ in part.classes]
-    ys = [[pi.word[m - 1] for m in members] for members in xs]
     inc = [d == INCREASING for _, d in part.classes]
+    word = pi.word
+    ys = [[word[m - 1] if up else -word[m - 1] for m in members] for members, up in zip(xs, inc)]
     room = [len(members) for members in xs]
     last = [0] * part.t  # last label committed to each class, 0 if none
     cls = [0] * (ell + 1)  # 0-based class of each committed label
     rules: List[tuple] = []
 
     def least(lo: List[int], hi: List[int]) -> Optional[Embedding]:
-        # per label, in label order, the least position whose trial bound
-        # "position <= mid" narrows without emptying a window.  Narrowing is
-        # unit propagation over the threshold 2SAT encoding of the rules, so
-        # by the Even-Itai-Shamir argument such a trial keeps the commitment
-        # satisfiable, and no decision is undone.
+        """Per label, in label order, the least position whose trial bound
+        "position <= mid" narrows without emptying a window: first the low
+        end, the least if it narrows, then a binary search.  Narrowing is
+        unit propagation over the threshold 2SAT encoding of the rules, so
+        by the Even-Itai-Shamir argument such a trial keeps the commitment
+        satisfiable, and no decision is undone."""
         for s in range(1, ell + 1):
+            mid = lo[s]
             while lo[s] < hi[s]:
-                mid = (lo[s] + hi[s]) // 2
                 trial_lo, trial_hi = lo[:], hi[:]
                 trial_hi[s] = mid
                 if _narrow(rules, trial_lo, trial_hi):
@@ -279,6 +290,7 @@ def _search(sigma: Permutation, pi: Permutation, part: MonotonePartition,
                     lo[s] = mid + 1
                     if not _narrow(rules, lo, hi):
                         return None
+                mid = (lo[s] + hi[s]) // 2
         emb: Embedding = {s: xs[cls[s]][lo[s]] for s in range(1, ell + 1)}
         if not verify_embedding(sigma, pi, emb):
             raise AssertionError("internal: narrowed positions failed verification")
@@ -342,6 +354,15 @@ def sigma_pi_embedding(sigma: Permutation, assign: PatternAssignment,
 # enumeration matchers
 # ---------------------------------------------------------------------------
 
+def _pattern_fits(sigma: Permutation, pi: Permutation, stats: Optional[dict]) -> bool:
+    """Raise on an empty pattern; False, all counts 0, if it outgrows pi."""
+    if len(sigma) < 1:
+        raise ValidationError("pattern must be nonempty")
+    if len(sigma) > len(pi) and stats is not None:
+        stats.update(leaves=0, **dict.fromkeys(_COUNTERS, 0))
+    return len(sigma) <= len(pi)
+
+
 def t_monotone_match(sigma: Permutation, pi: Permutation,
                      part: MonotonePartition, stats: Optional[dict] = None) -> Optional[Embedding]:
     """First embedding found over all class commitments of the pattern
@@ -355,12 +376,10 @@ def t_monotone_match(sigma: Permutation, pi: Permutation,
     ``solves`` (complete commitments the bounds let through, which the
     binary search for the least positions then decides)."""
     validate_monotone_partition(pi, part)
-    ell = len(sigma)
-    if ell < 1:
-        raise ValidationError("pattern must be nonempty")
+    if not _pattern_fits(sigma, pi, stats):
+        return None
     tally = dict.fromkeys(_COUNTERS, 0)
-    every = range(1, part.t + 1)
-    found = _search(sigma, pi, part, [every] * ell, tally) if ell <= len(pi) else None
+    found = _search(sigma, pi, part, [range(1, part.t + 1)] * len(sigma), tally)
     if stats is not None:
         stats.update(leaves=tally["refuted"] + tally["solves"], **tally)
     return found
@@ -370,6 +389,7 @@ def poly_space_match(sigma: Permutation, pi: Permutation,
                      stats: Optional[dict] = None) -> Optional[Embedding]:
     """Greedy monotone partition of the target, then class-commitment
     enumeration; time n^(l/2+o(l)) but only polynomial memory.  ``stats``
-    is passed to ``t_monotone_match``."""
-    part = greedy_monotone_partition(pi)
-    return t_monotone_match(sigma, pi, part, stats=stats)
+    is passed to ``t_monotone_match``.  The pattern is checked first."""
+    if not _pattern_fits(sigma, pi, stats):
+        return None
+    return t_monotone_match(sigma, pi, greedy_monotone_partition(pi), stats=stats)

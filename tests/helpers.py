@@ -3,15 +3,16 @@
 Besides the generators, this module holds what only the tests call: the
 readers of the embedding and grid witness formats and the writer of the
 monotone partition format (no CLI command reads the first two or writes
-the third), a partition's label -> class map, the canonical grid's
-row-sweep decomposition, substitution, the (6t-5)-wide decomposition of
-a t-monotone target, a check of the decomposition builder's gridding
-after every merge, the raw constraint relations of the
-class-respecting embedding problem with their median, close pairs, the
-tree characterization of d-wide sequences, separability, and the grid
-finder's whole-set block round.
+the third), a partition's label -> class map, the reference greedy
+monotone partition, the canonical grid's row-sweep decomposition,
+substitution, the (6t-5)-wide decomposition of a t-monotone target, a
+check of the decomposition builder's gridding after every merge, the
+raw constraint relations of the class-respecting embedding problem
+with their median, close pairs, the tree characterization of d-wide
+sequences, separability, and the grid finder's whole-set block round.
 """
 
+import bisect
 import itertools
 import random
 from math import comb
@@ -152,6 +153,50 @@ def class_of(part: MonotonePartition) -> Dict[int, int]:
         for s in labels:
             out[s] = idx
     return out
+
+
+def _reference_longest_monotone(values: List[int], decreasing: bool) -> List[int]:
+    """Indices of a longest increasing — or decreasing — subsequence of
+    ``values``, preferring the lexicographically least position set: a
+    patience pass by index from the right, then a greedy read-off."""
+    m = len(values)
+    ys = [-v for v in values] if decreasing else values
+    best = [0] * m  # length of the longest run starting at each position
+    tails: List[int] = []
+    for r in range(m - 1, -1, -1):
+        v = -ys[r]
+        idx = bisect.bisect_left(tails, v)
+        if idx == len(tails):
+            tails.append(v)
+        else:
+            tails[idx] = v
+        best[r] = idx + 1
+    out: List[int] = []
+    j = -1
+    for need in range(max(best), 0, -1):
+        j = best.index(need, j + 1)
+        out.append(j)
+    return out
+
+
+def reference_greedy_partition(perm: Permutation) -> MonotonePartition:
+    """The greedy monotone partition by its plain definition: strip a
+    longest monotone subsequence of the remaining points, increasing on a
+    tie, with both patience passes on every remainder until none is left.
+    ``greedy_monotone_partition`` must equal it class by class."""
+    word = perm.word
+    remaining = list(range(1, len(word) + 1))  # labels, in x-order
+    classes = []
+    while remaining:
+        ys = [word[l - 1] for l in remaining]
+        take, direction = _reference_longest_monotone(ys, decreasing=False), "inc"
+        dec = _reference_longest_monotone(ys, decreasing=True)
+        if len(dec) > len(take):
+            take, direction = dec, "dec"
+        chosen = set(take)
+        classes.append((tuple(remaining[i] for i in take), direction))
+        remaining = [l for i, l in enumerate(remaining) if i not in chosen]
+    return MonotonePartition(tuple(classes))
 
 
 # ---------------------------------------------------------------------------

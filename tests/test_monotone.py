@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permpat.monotone
 from helpers import (class_of, constraint_relations, format_monotone_partition, mid_point,
-                     monotone_decomposition, random_t_monotone)
+                     monotone_decomposition, random_t_monotone, reference_greedy_partition)
 from permpat import (
     MonotonePartition,
     ParseError,
@@ -104,6 +105,21 @@ def test_greedy_partition_is_valid_and_bounded():
         assert part.t <= 2 * math.ceil(math.sqrt(n))
 
 
+def test_greedy_partition_matches_the_reference():
+    # the monotone-remainder exit and the keep-mask strip change no class:
+    # every permutation up to n = 7, random and separable targets, and
+    # unions of two runs, whose last class the exit takes
+    rng = random.Random(71)
+    perms = [Permutation(w) for n in range(8) for w in itertools.permutations(range(1, n + 1))]
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        perms += [random_permutation(n, rng.randrange(1 << 30)),
+                  random_separable(n, rng.randrange(1 << 30))]
+    perms += [random_t_monotone(n, 2, rng)[0] for n in range(50, 2001, 50)]
+    for pi in perms:
+        assert greedy_monotone_partition(pi).classes == reference_greedy_partition(pi).classes, pi.word
+
+
 def test_monotone_decomposition_single_increasing_class():
     pi = parse_permutation("1 2 3 4 5")
     part = MonotonePartition((((1, 2, 3, 4, 5), "inc"),))
@@ -180,6 +196,16 @@ def _first_class_respecting_images(sigma, assign, pi, part):
     return None
 
 
+def _first_over_commitments(sigma, pi, part):
+    # the least class-respecting embedding of the first commitment, in
+    # base-t order with label 1 most significant, that has one
+    for classes in itertools.product(range(1, part.t + 1), repeat=len(sigma)):
+        images = _first_class_respecting_images(sigma, dict(enumerate(classes, 1)), pi, part)
+        if images is not None:
+            return dict(enumerate(images, 1))
+    return None
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.integers(0, 1 << 32))
 def test_sigma_pi_embedding_matches_exhaustive_class_respecting_search(seed):
@@ -211,13 +237,25 @@ def test_sigma_pi_embedding_matches_exhaustive_class_respecting_search(seed):
         assert all(cls[got[s]] == assign[s] for s in got)
     # the search tries the commitments in base-t order, label 1 most
     # significant, and returns the least embedding of the first that has one
-    want = None
-    for classes in itertools.product(range(1, part.t + 1), repeat=ell):
-        images = _first_class_respecting_images(sigma, dict(enumerate(classes, 1)), pi, part)
-        if images is not None:
-            want = dict(enumerate(images, 1))
-            break
-    assert t_monotone_match(sigma, pi, part) == want
+    assert t_monotone_match(sigma, pi, part) == _first_over_commitments(sigma, pi, part)
+
+
+@pytest.mark.parametrize("word, classes", [
+    # a label's low-end trial fails narrowing
+    ("14 12 13 11 4 1 10 9 3 5 6 7 8 2",
+     (((9, 11, 12, 13), "inc"), ((3, 5, 6), "dec"), ((1, 2, 4, 7, 8, 10, 14), "dec"))),
+    # and here a trial of the binary search that follows fails too
+    ("24 2 17 15 23 3 12 10 6 22 19 8 5 4 1 14 9 13 11 16 7 18 20 21",
+     (((1, 3, 4, 7, 8, 12, 13, 14, 15), "dec"), ((2, 6, 9, 17, 20, 22, 23, 24), "inc"),
+      ((5, 10, 11, 16, 18, 19, 21), "dec"))),
+], ids=["low-end-miss", "search-miss"])
+def test_least_positions_reach_the_binary_search(word, classes):
+    # the least positions usually come from one trial at each window's low
+    # end; on these instances the binary search must find them
+    pi, part, sigma = parse_permutation(word), MonotonePartition(classes), parse_permutation("1 3 2")
+    want = _first_over_commitments(sigma, pi, part)
+    assert want is not None and t_monotone_match(sigma, pi, part) == want
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(3, 12), st.integers(0, 1 << 30),
@@ -251,6 +289,18 @@ def test_match_stats_count_pruned_prefixes_refuted_leaves_and_solves():
     assert t_monotone_match(parse_permutation("1 2 3"), parse_permutation("1 2"),
                             MonotonePartition((((1, 2), "inc"),)), stats=stats) is None
     assert stats == {"leaves": 0, "pruned": 0, "refuted": 0, "solves": 0}
+
+
+def test_poly_space_match_checks_the_pattern_before_partitioning(monkeypatch):
+    def refuse(pi):
+        raise AssertionError("the target was partitioned")
+    monkeypatch.setattr(permpat.monotone, "greedy_monotone_partition", refuse)
+    with pytest.raises(ValidationError, match="nonempty"):
+        poly_space_match(Permutation([]), parse_permutation("2 1"))
+    stats = {}
+    assert poly_space_match(parse_permutation("1 2 3"), parse_permutation("2 1"), stats=stats) is None
+    assert stats == {"leaves": 0, "pruned": 0, "refuted": 0, "solves": 0}
+    assert poly_space_match(parse_permutation("1 2 3"), parse_permutation("2 1")) is None
 
 
 def test_t_monotone_match_worked_examples():
