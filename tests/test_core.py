@@ -186,6 +186,18 @@ def test_validate_merge_sequence_errors():
         validate_merge_sequence(parse_merge_sequence("1 2 5"), 4, require_complete=True)
     with pytest.raises(ValidationError):
         validate_merge_sequence(parse_merge_sequence("1 1 5"), 4)
+    # indices outside the live range 1 .. k - 1, each named in its message
+    for text, message in [
+            ("1 0 5", "step 1 (1, 0, 5): index 0 is not alive"),
+            ("-1 2 5", "step 1 (-1, 2, 5): index -1 is not alive"),
+            ("1 2 5\n5 -4 6", "step 2 (5, -4, 6): index -4 is not alive"),
+            ("1 2 5\n6 3 6", "step 2 (6, 3, 6): index 6 is not alive"),
+            ("1 2 5\n3 9 6", "step 2 (3, 9, 6): index 9 is not alive"),
+            ("1 2 5\n3 4 7", "step 2 (3, 4, 7): new index must be 6 "
+                             "(originals 1..4, steps numbered upward)")]:
+        with pytest.raises(ValidationError) as err:
+            validate_merge_sequence(parse_merge_sequence(text), 4)
+        assert str(err.value) == message
 
 
 def test_verify_grid_canonical_and_negative():
