@@ -342,22 +342,23 @@ def validate_merge_sequence(seq: MergeSequence, n: int, *, require_complete: boo
     naming the offending step."""
     if n < 0:
         raise ValidationError("ground set size must be nonnegative")
-    alive = set(range(1, n + 1))
+    # alive[x] for the indices 0 < x < n + p of step p (a negative x would
+    # wrap around, and x >= n + p does not exist yet)
+    alive = bytearray([0]) + bytearray([1]) * n + bytearray(len(seq))
     for p, step in enumerate(seq, 1):
         i, j, k = step
         if k != n + p:
             raise ValidationError(
                 "step %d %r: new index must be %d (originals 1..%d, steps numbered upward)"
                 % (p, tuple(step), n + p, n))
-        if i not in alive:
+        if not (0 < i < k and alive[i]):
             raise ValidationError("step %d %r: index %d is not alive" % (p, tuple(step), i))
-        if j not in alive:
+        if not (0 < j < k and alive[j]):
             raise ValidationError("step %d %r: index %d is not alive" % (p, tuple(step), j))
         if i == j:
             raise ValidationError("step %d %r: merge sources must differ" % (p, tuple(step)))
-        alive.discard(i)
-        alive.discard(j)
-        alive.add(k)
+        alive[i] = alive[j] = 0
+        alive[k] = 1
     if require_complete and len(seq) != max(n - 1, 0):
         raise ValidationError(
             "sequence has %d steps but a full decomposition of %d points needs %d"

@@ -29,29 +29,32 @@ needs all but fewer than m of the m x m starting cells occupied.
 per axis, the live rectangles' low and high endpoints by rank.  A merged
 rectangle keeps one child's endpoint on each side, so a merge retires one
 low and one high endpoint and adds none.  The new rectangle [L, R] sees
-the live lows up to R minus the live highs below L.  The counter keeps a
-bytearray of live lows and one of live highs, their counts per block of
-B = 512 ranks, and a Fenwick tree over the blocks holding lows minus
-highs, which starts at zero and changes only when the two retired
-endpoints lie in different blocks.  A rectangle spanning at most half
-the blocks is counted as the tree's prefix up to L - 1's block, the low
-counts of the blocks up to R's, and two partial-block counts; a wider one
-as all live rectangles minus the highs left of L and the lows right of
-R, from the block counts outside it.  A step thus costs O(log(n / B))
-Python operations plus O(B + n / B) element operations inside
-``bytearray.count`` and ``sum``, at most half the blocks per step: a
-whole replay is O(n log n + n B + n^2 / B) in the worst case, whatever
-the width.  The two axes are counted lazily, so ``first_violation``
-stops at the first step over budget.
+the live lows up to R minus the live highs below L.  The counter keeps
+bytearrays of the live lows and highs, their counts per block of B = 512
+ranks, and the blocks' prefix sums of lows minus highs.  Those change
+only at a step whose two retired endpoints lie in different blocks: it
+updates a Fenwick tree over the blocks and reads the prefix there, and
+the next step that moves none rebuilds a plain prefix list with
+``itertools.accumulate``.  A replay yields its records only, the steps
+whose count beats a floor and every earlier count.  A step bounds its
+count by the prefix up to L - 1's block plus the lows of the blocks
+through R's (if it spans over half the blocks: all other live rectangles
+minus the highs of the blocks left of L - 1's and the lows of those right
+of R's), and makes its two partial-block ``bytearray.count`` calls only
+while the bound beats the floor.  A replay is O(n log n + n B + n^2 / B)
+in the worst case, whatever the width.  ``width_of_decomposition``
+replays y from x's maximum, and ``first_violation`` stops each axis at
+its first record over d - 1, y at x's step at the latest.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
     GridWitness,
@@ -95,11 +98,14 @@ class DecompositionResult:
 _BLOCK_SHIFT = 9  # a block of the replay's view counter spans 1 << 9 = 512 ranks
 
 
-def _axis_views(rank: List[int], seq: MergeSequence) -> Iterator[int]:
-    """Per step, how many other live rectangles the new one overlaps on one
-    axis; ``rank[l]`` is label l's rank (1..n) on that axis."""
+def _axis_views(rank: List[int], seq: Iterable[Tuple[int, int, int]],
+                floor: int) -> Iterator[Tuple[int, int]]:
+    """(step number, views) of each step whose new rectangle overlaps more
+    other live rectangles on one axis than ``floor`` and than each step
+    yielded before it; ``rank[l]`` is label l's rank (1..n) on that axis,
+    and ``seq`` a validated sequence or a prefix of one."""
     n = len(rank) - 1
-    lo = rank + [0] * len(seq)  # rectangle index -> low and high endpoint
+    lo = rank + [0] * n  # index -> low and high endpoint (at most n - 1 steps)
     hi = lo[:]
     s = _BLOCK_SHIFT
     # live low and high endpoints by rank (every rank starts as both),
@@ -112,6 +118,7 @@ def _axis_views(rank: List[int], seq: MergeSequence) -> Iterator[int]:
     locnt = [lob.count(1, b << s, (b + 1) << s) for b in range(nb)]
     hicnt = locnt[:]
     fen = [0] * (nb + 1)
+    stale = True  # no list ``pre`` of the tree's prefix sums yet
     for i, j, k in seq:
         # k keeps the lower low and the higher high endpoint of its
         # children, so only the other child's endpoints stop being live
@@ -129,9 +136,14 @@ def _axis_views(rank: List[int], seq: MergeSequence) -> Iterator[int]:
         hib[c] = 0
         c >>= s
         hicnt[c] -= 1
+        bl = (left - 1) >> s
+        br = right >> s
+        # v: the lows <= right minus the highs < left, minus k itself.  The
+        # blocks before left - 1's give their lows minus highs at once
         if b != c:
-            # one block lost a low and another a high; within one block
-            # the two cancel
+            # one block lost a low and another a high (in one block the two
+            # cancel): update the tree and read it; the list is now stale
+            stale = True
             b += 1
             while b <= nb:
                 fen[b] -= 1
@@ -140,47 +152,49 @@ def _axis_views(rank: List[int], seq: MergeSequence) -> Iterator[int]:
             while c <= nb:
                 fen[c] += 1
                 c += c & -c
-        bl = (left - 1) >> s
-        br = right >> s
-        # viewers: lows <= right minus highs < left, minus k itself
+            v = 0
+            b = bl if br - bl <= half else 0  # a wide k below needs none
+            while b:
+                v += fen[b]
+                b &= b - 1
+        else:
+            if stale:
+                pre = list(itertools.accumulate(map(operator.sub, locnt, hicnt), initial=0))
+                stale = False
+            v = pre[bl]
+        # bound v by every low through R's block; the partial blocks are
+        # counted only while the bound beats the floor
         if bl == br:
-            v = lob.count(1, bl << s, right + 1) - hib.count(1, bl << s, left) - 1
+            v += locnt[bl] - 1
         elif br - bl <= half:
-            # the lows of the blocks from left - 1's to the one before right's
-            v = (sum(locnt[bl:br]) + lob.count(1, br << s, right + 1)
-                 - hib.count(1, bl << s, left) - 1)
+            v += sum(locnt[bl:br + 1]) - 1
         else:
             # k spans most blocks: of the 2n - 1 - k other live
             # rectangles, count those wholly left or right of it instead
-            yield (2 * n - 1 - k - sum(hicnt[:bl]) - hib.count(1, bl << s, left)
-                   - sum(locnt[br + 1:]) - lob.count(1, right + 1, (br + 1) << s))
-            continue
-        # the blocks before left - 1's give lows minus highs at once
-        while bl:
-            v += fen[bl]
-            bl &= bl - 1
-        yield v
+            v = 2 * n - 1 - k - sum(hicnt[:bl]) - sum(locnt[br + 1:])
+        if v > floor:
+            v -= lob.count(1, right + 1, (br + 1) << s)
+            if v > floor:
+                v -= hib.count(1, bl << s, left)
+                if v > floor:
+                    floor = v
+                    yield k - n, v
 
 
-def _axis_pair(perm: Permutation, seq: MergeSequence) -> Tuple[Iterator[int], Iterator[int]]:
-    """Validate the whole sequence, then count its steps' x- and y-views
-    lazily, one iterator per axis."""
-    n = len(perm)
-    validate_merge_sequence(seq, n)
-    # label l sits at x-rank l and y-rank word[l-1]
-    return _axis_views(list(range(n + 1)), seq), _axis_views([0, *perm.word], seq)
-
-
-def _replay_views(perm: Permutation, seq: MergeSequence) -> Iterator[Tuple[int, int, int]]:
-    """(step number, x-views, y-views) of each newly created rectangle,
-    counted against the rectangles alive alongside it."""
-    return zip(itertools.count(1), *_axis_pair(perm, seq))
+def _ranks(perm: Permutation, seq: MergeSequence) -> Tuple[List[int], List[int]]:
+    """Validate the whole sequence; label l's x-rank is l, its y-rank word[l - 1]."""
+    validate_merge_sequence(seq, len(perm))
+    return list(range(len(perm) + 1)), [0, *perm.word]
 
 
 def width_of_decomposition(perm: Permutation, seq: MergeSequence) -> int:
     """Exact width of a merge sequence: one more than the largest view
     count over all created rectangles (1 for empty/singleton input)."""
-    return max(max(views, default=0) for views in _axis_pair(perm, seq)) + 1
+    most = 0
+    for rank in _ranks(perm, seq):
+        for _, most in _axis_views(rank, seq, most):
+            pass
+    return most + 1
 
 
 def verify_wide(perm: Permutation, seq: MergeSequence, d: int) -> bool:
@@ -193,15 +207,18 @@ def verify_wide(perm: Permutation, seq: MergeSequence, d: int) -> bool:
 def first_violation(perm: Permutation, seq: MergeSequence, d: int) -> Optional[Tuple[int, int]]:
     """(step number, offending view count) of the first step whose new
     rectangle reaches d viewers on some axis; None when d-wide.  Raises
-    ValidationError when d < 1 or the sequence is invalid anywhere, and
-    counts no step past the first violation."""
+    ValidationError when d < 1 or the sequence is invalid anywhere.  Each
+    axis counts no step past its own first violation, y none past x's."""
     if d < 1:
         raise ValidationError("view budget must be >= 1, got %d" % d)
-    for p, v1, v2 in _replay_views(perm, seq):
-        v = v1 if v1 >= v2 else v2
-        if v >= d:
-            return (p, v)
-    return None
+    xrank, yrank = _ranks(perm, seq)
+    first = next(_axis_views(xrank, seq, d - 1), None)
+    # y only up to x's violation step, where it reports the larger count
+    steps = seq if first is None else itertools.islice(seq, first[0])
+    other = next(_axis_views(yrank, steps, d - 1), None)
+    if first is None or other is None:
+        return first or other
+    return other if other[0] < first[0] else (first[0], max(first[1], other[1]))
 
 
 # ---------------------------------------------------------------------------

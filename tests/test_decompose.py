@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from permpat import (
 import permpat
 import permpat.decompose
 from permpat.core import reduce
-from permpat.decompose import _replay_views, _stall_free_budget
+from permpat.decompose import _axis_views, _ranks, _stall_free_budget
 
 
 def test_canonical_grid_decomposition_2x2_frozen_steps():
@@ -420,12 +421,47 @@ def test_width_replay_agrees_with_a_naive_count(word, kind, rng):
         want.append((sum(o[0] <= new[1] and new[0] <= o[1] for o in box.values()),
                      sum(o[2] <= new[3] and new[2] <= o[3] for o in box.values())))
         box[k] = new
-    assert [(v1, v2) for _, v1, v2 in _replay_views(perm, seq)] == want
+    for shift in SHIFTS:
+        with mock.patch.object(permpat.decompose, "_BLOCK_SHIFT", shift):
+            _check_records(perm, seq, want)
     width = max([max(v) for v in want], default=0) + 1
     assert width_of_decomposition(perm, seq) == width
     for d in range(1, width + 2):
         first = next(((p, max(v)) for p, v in enumerate(want, 1) if max(v) >= d), None)
         assert first_violation(perm, seq, d) == first
+
+
+# every block size the replay tests run at: blocks of 1, 2, 8 and 64 ranks,
+# so that rectangles span many blocks and the retired endpoints of a step
+# often lie in different blocks, and the real 512
+SHIFTS = (0, 1, 3, 6, 9)
+
+
+def _records(views, floor):
+    """(step number, count) of each step whose count exceeds ``floor`` and
+    every count before it."""
+    out = []
+    for p, v in enumerate(views, 1):
+        if v > floor:
+            floor = v
+            out.append((p, v))
+    return out
+
+
+def _check_records(perm, seq, want, every_floor=True):
+    """Per axis, _axis_views' records against those of the naive per-step
+    counts ``want``: at every floor from -1 to one past the axis's largest
+    count, or else at -1, at one past the largest count and one below each
+    of 16 records at -1 spread over them, where that record passes the
+    floor by the least."""
+    for rank, views in zip(_ranks(perm, seq), [[v[0] for v in want], [v[1] for v in want]]):
+        top = max(views, default=0) + 1
+        floors = range(-1, top + 1)
+        if not every_floor:
+            records = _records(views, -1)
+            floors = {-1, top, *(v - 1 for _, v in records[::len(records) // 16 + 1])}
+        for floor in floors:
+            assert list(_axis_views(rank, seq, floor)) == _records(views, floor), floor
 
 
 def _naive_views(perm, seq):
@@ -447,7 +483,8 @@ def _chains(n):
     """Complete sequences whose rectangles span many blocks: a
     left-to-right chain; a chain grown from the middle outward, alternately
     to the left and the right; one from 1 + n absorbing labels alternately
-    from both ends; and the pairs (i, i + n/2), then chained left to right."""
+    from both ends; the pairs (i, i + n/2), then chained left to right; and
+    the pairs (i, 2i) of odd i, then the rest chained left to right."""
     def chain(first, rest):
         steps = [(*first, n + 1)]
         for k, label in enumerate(rest, n + 1):
@@ -471,14 +508,20 @@ def _chains(n):
     for k, index in enumerate(rest, n + m + 1):
         pairs.append((acc, index, k))
         acc = k
+    # each pair (i, 2i) of an odd i views more rectangles than the one
+    # before, and the earlier pairs straddle the blocks left of it
+    doubled = [(i, 2 * i, k) for k, i in enumerate(range(1, m + 1, 2), n + 1)]
+    paired = {label for i, j, _ in doubled for label in (i, j)}
+    acc, *rest = [l for l in range(1, n + 1) if l not in paired] + [k for *_, k in doubled]
+    for k, index in enumerate(rest, n + len(doubled) + 1):
+        doubled.append((acc, index, k))
+        acc = k
     return [chain((1, 2), range(3, n + 1)), chain((m, m + 1), outward),
-            chain((1, n), inward), MergeSequence(pairs)]
+            chain((1, n), inward), MergeSequence(pairs), MergeSequence(doubled)]
 
 
-@pytest.mark.parametrize("shift", [0, 1, 3, 6])
+@pytest.mark.parametrize("shift", SHIFTS)
 def test_width_replay_across_blocks_agrees_with_a_naive_count(monkeypatch, shift):
-    # blocks of 1 << shift ranks, so that rectangles span many blocks and
-    # the retired endpoints of a step often lie in different blocks
     monkeypatch.setattr(permpat.decompose, "_BLOCK_SHIFT", shift)
     rng = random.Random(shift)
     for n in (2, 3, 17, 64, 65, 130, 300):
@@ -487,44 +530,51 @@ def test_width_replay_across_blocks_agrees_with_a_naive_count(monkeypatch, shift
         for seq in seqs:
             validate_merge_sequence(seq, n, require_complete=True)
             want = _naive_views(perm, seq)
-            assert [(v1, v2) for _, v1, v2 in _replay_views(perm, seq)] == want
+            _check_records(perm, seq, want)
             assert width_of_decomposition(perm, seq) == max(map(max, want)) + 1
 
 
-def test_width_replay_at_the_real_block_size_agrees_with_a_naive_count():
-    # n > 3 * 512: the rectangles span several of the counter's blocks
+def test_width_replay_at_the_real_block_size_agrees_with_a_naive_count(monkeypatch):
+    # n > 3 * 512: the rectangles span several of the real counter's
+    # blocks.  Every floor would take minutes here
     rng = random.Random(5)
     n = 1700
     perm = random_permutation(n, 5)
     for seq in _chains(n) + [random_merge_sequence(n, rng)]:
         want = _naive_views(perm, seq)
-        assert [(v1, v2) for _, v1, v2 in _replay_views(perm, seq)] == want
+        for shift in SHIFTS:
+            monkeypatch.setattr(permpat.decompose, "_BLOCK_SHIFT", shift)
+            _check_records(perm, seq, want, every_floor=False)
+
+
+def _record_draws(monkeypatch):
+    """Patch the view counter to record the steps each of its calls (x
+    first, then y) reads; returns the list of their lists."""
+    drawn = []
+    axis_views = permpat.decompose._axis_views
+
+    def recording(rank, steps, floor):
+        read = []
+        drawn.append(read)
+
+        def steps_read():
+            for step in steps:
+                read.append(step)
+                yield step
+        return axis_views(rank, steps_read(), floor)
+
+    monkeypatch.setattr(permpat.decompose, "_axis_views", recording)
+    return drawn
 
 
 def test_first_violation_stops_at_the_first_violating_step(monkeypatch):
     perm = canonical_grid(2, 2)
     seq = canonical_grid_decomposition(2, 2)
-    drawn = []
-    axis_views = permpat.decompose._axis_views
-
-    class Drawn:
-        """The steps, recording each one the view counter reads."""
-
-        def __init__(self, steps):
-            self.steps = steps
-
-        def __len__(self):
-            return len(self.steps)
-
-        def __iter__(self):
-            for step in self.steps:
-                drawn.append(step)
-                yield step
-
-    monkeypatch.setattr(permpat.decompose, "_axis_views",
-                        lambda rank, steps: axis_views(rank, Drawn(steps)))
+    assert _naive_views(perm, seq) == [(0, 1), (0, 1), (0, 0)]
+    drawn = _record_draws(monkeypatch)
     assert first_violation(perm, seq, 1) == (1, 1)
-    assert drawn == [seq[0], seq[0]]  # step 1, once per axis
+    # x reads every step and finds no violation; y stops at its own
+    assert drawn == [list(seq), [seq[0]]]
     assert not verify_wide(perm, seq, 1)
     # over budget at step 1, invalid at step 3: the whole sequence is
     # still validated before any step is counted
@@ -532,3 +582,22 @@ def test_first_violation_stops_at_the_first_violating_step(monkeypatch):
     for check in (first_violation, verify_wide):
         with pytest.raises(ValidationError, match="step 3"):
             check(perm, bad, 1)
+
+
+@pytest.mark.parametrize("steps, views, first, x_reads, y_reads", [
+    # y violates at step 1, x at step 2: each axis stops at its own
+    ("2 3 5\n1 4 6\n5 6 7", [(0, 1), (1, 1), (0, 0)], (1, 1), 2, 1),
+    # x violates at step 1, y at step 2: y reads no step past x's
+    ("2 4 5\n1 3 6\n5 6 7", [(1, 0), (1, 1), (0, 0)], (1, 1), 1, 1),
+    # both at step 1 with different counts: the larger one, either axis's
+    ("1 4 5\n2 3 6\n5 6 7", [(2, 1), (1, 1), (0, 0)], (1, 2), 1, 1),
+    ("1 3 5\n2 4 6\n5 6 7", [(1, 2), (1, 1), (0, 0)], (1, 2), 1, 1),
+])
+def test_first_violation_takes_the_earlier_axis_and_the_larger_count(
+        monkeypatch, steps, views, first, x_reads, y_reads):
+    perm = parse_permutation("1 2 4 3")
+    seq = parse_merge_sequence(steps)
+    assert _naive_views(perm, seq) == views
+    drawn = _record_draws(monkeypatch)
+    assert first_violation(perm, seq, 1) == first
+    assert drawn == [list(seq[:x_reads]), list(seq[:y_reads])]
