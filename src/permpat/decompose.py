@@ -54,7 +54,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     GridWitness,
@@ -282,7 +282,7 @@ def _lines(axis: _Axis) -> List[int]:
     return out
 
 
-def _build_state(n: int, d: int, row_of: List[int]) -> _State:
+def _build_state(n: int, d: int, row_of: Sequence[int]) -> _State:
     """The starting state; ``row_of[l - 1]`` is label l's row, (y - 1) // d."""
     state = _State(n, d)
     ccells = state.cols.cells
@@ -474,7 +474,14 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     if stats is not None:
         stats.update(coarsen_cols=0, coarsen_rows=0, merges=0, dense=False)
     n = len(perm)
-    row_of = [(y - 1) // d for y in perm.word]  # label l's starting row is row_of[l - 1]
+    # label l's starting row is row_of[l - 1] = (word[l - 1] - 1) // d, read
+    # in one itemgetter call (a tuple only from two indices up) from a table
+    # of each value's row.  Each row is cut at n, so the table has n + 1
+    # entries however large d is (4 f(10) is about 6.9e17)
+    rows = [0]
+    for lo in range(0, n, d):
+        rows.extend(itertools.repeat(lo // d, min(d, n - lo)))
+    row_of = operator.itemgetter(*perm.word)(rows) if n > 1 else [rows[y] for y in perm.word]
     M = None
     if r is not None:
         # the rows each starting column occupies; merging inside a cell

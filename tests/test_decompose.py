@@ -25,6 +25,7 @@ from permpat import (
     build_decomposition,
     canonical_grid,
     exact_width,
+    f_bound,
     first_violation,
     format_grid_witness,
     format_merge_sequence,
@@ -179,6 +180,54 @@ def test_builds_at_r_1_are_pinned():
                 kinds[kind] += 1
     assert kinds == {"start": 237, "stall": 9, "complete": 12}
     assert digest.hexdigest() == "ca8d8e21a56c4eda6178e107eda6336364b9bb1c"
+
+
+def _check_starting_rows(monkeypatch, perm, budget):
+    """Build perm at budget and compare the rows the builder starts from
+    with (y - 1) // d: the ``row_of`` handed to the builder state, or the
+    column sets of a dense start handed to the finder (a finder call after
+    a builder state reads the stalled cells)."""
+    seen = {"row_of": [], "start": []}
+    real_state = permpat.decompose._build_state
+    real_finder = permpat.decompose.find_grid
+
+    def state(n, d, row_of):
+        seen["row_of"].append(list(row_of))
+        return real_state(n, d, row_of)
+
+    def finder(M, r):
+        if not seen["row_of"]:
+            seen["start"].append(M.cols)
+        return real_finder(M, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(permpat.decompose, "_build_state", state)
+        m.setattr(permpat.decompose, "find_grid", finder)
+        build_decomposition(perm, **budget)
+    n = len(perm)
+    d = budget.get("d") or 4 * f_bound(budget["r"])
+    row_of = [(y - 1) // d for y in perm.word]
+    if seen["start"]:
+        assert seen == {"row_of": [], "start": [[set(row_of[lo:lo + d])
+                                                  for lo in range(0, n, d)]]}
+    else:
+        assert seen["row_of"] == [row_of]
+    return seen
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2000])
+def test_the_starting_rows_are_each_value_s_row(monkeypatch, n):
+    # the builder reads a value's row from a table; it must agree with the
+    # division at budgets around n and far above it (r = 10)
+    perm = random_permutation(n, 1)
+    budgets = [{"d": d} for d in sorted({1, 2, 3, n - 1, n, n + 1, 384}) if d >= 1]
+    for budget in budgets + [{"r": 1}, {"r": 2}, {"r": 10}]:
+        _check_starting_rows(monkeypatch, perm, budget)
+
+
+def test_the_starting_rows_of_a_dense_start_are_each_value_s_row(monkeypatch):
+    seen = _check_starting_rows(monkeypatch, random_permutation(120000, 1), {"r": 2})
+    assert seen["start"]
 
 
 def test_a_sparse_start_builds_a_complete_sequence():

@@ -1,5 +1,6 @@
 """Dense-grid extraction: counting bound, block contraction, verification."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,11 +13,13 @@ from permpat import (
     ValidationError,
     f_bound,
     find_grid,
+    format_grid_witness,
     format_point_set,
     grid_search,
     parse_point_set,
     verify_grid,
 )
+import permpat.griddetect
 from permpat.griddetect import Columns, find_grid_or_reduce
 
 from helpers import whole_set_block_round
@@ -222,6 +225,36 @@ def test_lifted_witness_points_are_original():
     for row in w.witnesses:
         for pt in row:
             assert pt in pset
+
+
+def test_find_grid_contracts_a_sparse_lattice_and_lifts_the_least_point(monkeypatch):
+    # every fourth row and column of a 3,200 x 3,200 box: 640,000 cells,
+    # above f(2) (p + q - 2) = 614,208, and one cell per 4 x 4 block, so both
+    # top-level rounds contract and the 800 x 800 round finds the witness.
+    # One extra point, (18, 6), in the 4 x 4 block of the witness point
+    # (17, 5) makes that block's least and greatest points differ; the lift
+    # must take the least
+    base = set(range(0, 3200, 4))
+    M = Columns(3200, [base.copy() if x % 4 == 0 else set() for x in range(3200)])
+    M.cols[17].add(5)
+    assert len(M) == 640001 > f_bound(2) * (3200 + 3200 - 2)
+    rounds = []
+    real = permpat.griddetect.find_grid_or_reduce
+
+    def spy(M, r, transposed=False):
+        res = real(M, r, transposed)
+        rounds.append((M.p, M.q, transposed, type(res)))
+        return res
+
+    monkeypatch.setattr(permpat.griddetect, "find_grid_or_reduce", spy)
+    w = find_grid(M, 2)
+    assert rounds == [(3200, 3200, True, Columns), (3200, 3200, False, Columns),
+                      (800, 800, True, GridWitness)]
+    assert verify_grid(M, w, 2)
+    assert (w.col_cuts, w.row_cuts) == ((16,), (4,))
+    assert w.witnesses[1][1] == Point(17, 5)
+    assert hashlib.sha1(format_grid_witness(w).encode()).hexdigest() == \
+        "2e7281fae259ede427e2b13ee97f5b9f59ebb88c"
 
 
 def test_grid_search_r1_needs_one_point():
