@@ -144,7 +144,7 @@ def cmd_decompose(args) -> int:
     pi = _permutation_arg(args.text, args.t, "text")
     res = build_decomposition(pi, args.r, d=args.budget)
     if res.seq is not None:
-        _print_sequence(pi, res.seq, res.width_bound, args.verify)
+        _print_sequence(pi, res.seq, args.budget or 4 * f_bound(args.r), args.verify)
     elif res.grid is not None:
         if args.verify and not verify_grid(pi, res.grid, args.r):
             raise ValidationError("internal: emitted grid witness failed verification")

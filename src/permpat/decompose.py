@@ -60,27 +60,27 @@ from .core import (
     GridWitness,
     MergeSequence,
     Permutation,
-    Point,
     ValidationError,
     validate_merge_sequence,
-    verify_grid,
+    verify_grid,  # unused here; bench/tracing.py wraps permpat.decompose.verify_grid by name
 )
-from .griddetect import Columns, PointSet, f_bound, find_grid
+from .griddetect import Columns, PointSet, _lift, f_bound, find_grid
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
     """Outcome of build_decomposition: exactly one of ``seq`` (a complete
-    merge sequence, d-wide for ``width_bound`` = d), ``grid`` (an r x r
-    grid witness in the permutation's coordinates, from a dense starting
-    or stalled gridding of a build from r) or ``cells`` (the stalled
-    gridding's occupied cells as sorted (column, row) int pairs, for a
-    build from an explicit budget d)."""
+    d-wide merge sequence), ``grid`` (an r x r grid witness that
+    ``griddetect._lift`` lifts from a dense gridding of a build from r) or
+    ``cells`` (a stall's occupied cells as sorted (column, row) int pairs,
+    from a budget d), with the line bounds ``_lift`` reads: column c spans
+    coordinates xs[c - 1] + 1 .. xs[c], and row c ys[c - 1] + 1 .. ys[c]."""
 
-    seq: Optional[MergeSequence]
-    grid: Optional[GridWitness]
-    width_bound: Optional[int]
+    seq: Optional[MergeSequence] = None
+    grid: Optional[GridWitness] = None
     cells: Optional[PointSet] = None
+    xs: Optional[Tuple[int, ...]] = None
+    ys: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if (self.seq is not None) + (self.grid is not None) + (self.cells is not None) != 1:
@@ -429,7 +429,7 @@ def _dense(p: int, q: int, cells: int, d: int) -> bool:
     return p + q > 2 and 4 * cells > d * (p + q - 2)
 
 
-def _dense_cells(state: _State) -> Tuple[Columns, List[int], List[int]]:
+def _dense_cells(state: _State) -> Tuple[Columns, Tuple[int, ...], Tuple[int, ...]]:
     """A stalled gridding's occupied cells, indexed by the live lines'
     positions, and the live columns' and rows' bounds: 0, then each line's
     end coordinate."""
@@ -438,8 +438,8 @@ def _dense_cells(state: _State) -> Tuple[Columns, List[int], List[int]]:
     row_pos = {line: pos for pos, line in enumerate(rows)}
     ccells = state.cols.cells
     occupied = Columns(len(rows), [{row_pos[row] for row in ccells[col]} for col in cols])
-    return (occupied, [0, *(state.cols.hi[c] for c in cols)],
-            [0, *(state.rows.hi[w] for w in rows)])
+    return (occupied, (0, *(state.cols.hi[c] for c in cols)),
+            (0, *(state.rows.hi[w] for w in rows)))
 
 
 def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
@@ -449,13 +449,13 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     grid order r, or the explicit budget d.  Pass exactly one of r and d.
 
     Returns a complete d-wide merge sequence, or a dense gridding's answer:
-    an r x r grid witness extracted from its occupied-cell pattern (from
-    r), or that occupied-cell PointSet itself (from d), which has more than
-    (p + q - 2) d / 4 points.  From r, one pass over the word finds the
-    starting cells; a starting gridding that already passes the grid
-    finder's density bound goes straight to the finder with no builder
-    state, else the gridding is dense only where the merging stalls.  From
-    d, only a stall returns the cells.
+    an r x r grid witness that ``_lift`` lifts from its occupied-cell
+    pattern (from r), or that occupied-cell PointSet itself with its line
+    bounds (from d), which has more than (p + q - 2) d / 4 points.  From r,
+    one pass over the word finds the starting cells; a starting gridding
+    that already passes the grid finder's density bound goes straight to
+    the finder with no builder state, else the gridding is dense only where
+    the merging stalls.  From d, only a stall returns the cells.
 
     ``stats``, when given, receives ``coarsen_cols`` and ``coarsen_rows``
     (line merges per axis), ``merges`` (merge steps made: 0 when the
@@ -487,7 +487,7 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         # the rows each starting column occupies; merging inside a cell
         # changes neither the occupied cells nor the lines, so a dense start
         # skips it, and a sparse one may still stall
-        xs = ys = [*range(0, n, d), n]
+        xs = ys = (*range(0, n, d), n)
         M = Columns(len(ys) - 1, [set(row_of[lo:lo + d]) for lo in range(0, n, d)])
         if not _dense(M.p, M.q, len(M), d):
             M = None
@@ -497,8 +497,7 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
         if stats is not None:
             stats["merges"] = len(state.steps)
         if complete:
-            seq = MergeSequence._of_steps(state.steps)
-            return DecompositionResult(seq=seq, grid=None, width_bound=d)
+            return DecompositionResult(seq=MergeSequence._of_steps(state.steps))
         M, xs, ys = _dense_cells(state)
     if stats is not None:
         stats["dense"] = True
@@ -507,16 +506,5 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     if not _dense(M.p, M.q, len(M), d):
         raise AssertionError("dense branch below threshold")
     if r is None:
-        return DecompositionResult(seq=None, grid=None, width_bound=None, cells=M.point_set())
-    sub = find_grid(M, r)
-    # line c spans the coordinates xs[c - 1] + 1 .. xs[c] (ys for rows): a
-    # cut after it lifts to xs[c], and a witness cell to its least label (at
-    # a stall, the least label of the cell's one rectangle)
-    word = perm.word
-    w = GridWitness([xs[c] for c in sub.col_cuts], [ys[c] for c in sub.row_cuts],
-                    [[next(Point(l, v) for l, v in enumerate(word[xs[x - 1]:xs[x]], xs[x - 1] + 1)
-                           if ys[y - 1] < v <= ys[y]) for x, y in row]
-                     for row in sub.witnesses])
-    if not verify_grid(perm, w, r):
-        raise AssertionError("internal: lifted dense-branch witness failed verification")
-    return DecompositionResult(seq=None, grid=w, width_bound=None)
+        return DecompositionResult(cells=M.point_set(), xs=xs, ys=ys)
+    return DecompositionResult(grid=_lift(perm, find_grid(M, r), xs, ys, perm.word))

@@ -255,8 +255,8 @@ def find_grid(M: Union[Columns, PointSet], r: int) -> GridWitness:
     both rounds reduce, recurses on the contracted set trimmed in row-major
     point order to at most 1.1x the density threshold, and lifts the
     returned cuts/witnesses from block units back to original coordinates
-    (witness = smallest original point of its block).  The result is
-    verified before every return.
+    with ``_lift`` (witness = smallest original point of its block).  The
+    result is verified before every return.
     """
     if isinstance(M, PointSet):
         M = Columns.of(M)
@@ -274,7 +274,6 @@ def find_grid(M: Union[Columns, PointSet], r: int) -> GridWitness:
         if isinstance(res, GridWitness):
             return res  # already verified against M
 
-    side = r * r
     inner_threshold = f * (res.p + res.q - 2)
     if not (res.p + res.q > 2 and len(res) > inner_threshold):
         raise AssertionError("contraction lost too many points")
@@ -283,17 +282,30 @@ def find_grid(M: Union[Columns, PointSet], r: int) -> GridWitness:
     for x, y in islice(row_major, (11 * inner_threshold) // 10):
         trimmed.cols[x].add(y)
     del res, row_major  # only the trimmed set lives through the recursion
-    sub = find_grid(trimmed, r)
+    return _lift(M, find_grid(trimmed, r), [*range(0, M.p, r * r), M.p],
+                 [*range(0, M.q, r * r), M.q], M.cols)
 
-    # lift block-unit cuts and witnesses back to original coordinates: a
-    # witness block's least point in (x, y) order
-    cols = M.cols
-    w = GridWitness([c * side for c in sub.col_cuts],
-                    [c * side for c in sub.row_cuts],
-                    [[next(Point(x + 1, y + 1)
-                           for x in range(bx * side - side, min(bx * side, M.p))
-                           for y in range(by * side - side, by * side) if y in cols[x])
-                      for bx, by in row] for row in sub.witnesses])
-    if not verify_grid(M, w, r):
+
+def _lift(target, sub: GridWitness, xs, ys, rows) -> GridWitness:
+    """The grid ``sub`` of a coarsening of target, verified against target
+    (else AssertionError).  Coarse column c spans target columns xs[c - 1]
+    + 1 .. xs[c], ys likewise for rows.  A cut after line c lifts to xs[c]
+    (ys[c]), a cell to target's least point in it, in (x, y) order, read from
+    rows[x - 1]: a word's y, or a ``Columns.cols`` set of 0-based rows."""
+
+    def least(c: int, v: int) -> Point:
+        lo, hi = ys[v - 1], ys[v]
+        for x in range(xs[c - 1], xs[c]):
+            col = rows[x]
+            if col.__class__ is int:
+                if lo < col <= hi:
+                    return Point(x + 1, col)
+            elif hit := col.intersection(range(lo, hi)):
+                return Point(x + 1, min(hit) + 1)
+        raise AssertionError("internal: empty witness cell")
+
+    w = GridWitness([xs[c] for c in sub.col_cuts], [ys[c] for c in sub.row_cuts],
+                    [[least(c, v) for c, v in row] for row in sub.witnesses])
+    if not verify_grid(target, w, sub.r):
         raise AssertionError("internal: lifted witness failed verification")
     return w

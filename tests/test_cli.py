@@ -129,6 +129,14 @@ def test_decompose_singleton(capsys):
     assert code == 0 and out.strip() == "# width 1 budget 384"
 
 
+def test_decompose_prints_the_budget_it_built_at(capsys):
+    perm = random_permutation(50, 8)
+    code, out, _ = run(capsys, "decompose", "-t", perm.one_line(), "--budget", "100", "--verify")
+    assert code == 0 and out.splitlines()[-1].endswith(" budget 100")
+    code, out, _ = run(capsys, "decompose", "-t", "1", "--r", "1")
+    assert code == 0 and out == "# width 1 budget 4\n"
+
+
 def test_decompose_needs_exactly_one_mode(capsys):
     code, _, err = run(capsys, "decompose", "-t", "1 2")
     assert code == 2 and "exactly one" in err

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from helpers import build_checked, canonical_grid_decomposition, random_merge_sequence
 from permpat import (
+    DecompositionResult,
+    GridWitness,
     MergeSequence,
     Permutation,
     Point,
@@ -43,6 +45,7 @@ import permpat
 import permpat.decompose
 from permpat.core import reduce
 from permpat.decompose import _axis_views, _ranks, _stall_free_budget
+from permpat.griddetect import Columns, _lift, find_grid_or_reduce
 
 
 def test_canonical_grid_decomposition_2x2_frozen_steps():
@@ -78,7 +81,6 @@ def test_builder_on_worked_example():
     perm = parse_permutation("3 2 7 8 4 6 1 5")
     res = build_decomposition(perm, 2)
     assert not res.is_grid
-    assert res.width_bound == 384
     validate_merge_sequence(res.seq, 8, require_complete=True)
     assert verify_wide(perm, res.seq, 384)
 
@@ -379,8 +381,42 @@ def test_builder_width_never_exceeds_budget_on_random_inputs():
 def test_budget_variant_completes_with_generous_budget():
     perm = random_permutation(50, 8)
     res = build_decomposition(perm, d=100)
-    assert res.width_bound == 100 and res.grid is None and res.cells is None
+    assert res.grid is None and res.cells is None
     assert verify_wide(perm, res.seq, 100)
+
+
+def test_a_result_carries_exactly_one_outcome():
+    seq = build_decomposition(parse_permutation("2 1"), d=2).seq
+    with pytest.raises(ValidationError):
+        DecompositionResult()
+    with pytest.raises(ValidationError):
+        DecompositionResult(seq=seq, grid=GridWitness([], [], [[Point(1, 1)]]))
+
+
+def test_a_stall_from_d_keeps_the_line_bounds_the_lift_reads():
+    # every one of these builds stalls; a grid that one block round finds
+    # on the stalled cells lifts back to the permutation through ``_lift``
+    # and the result's line bounds
+    rounds = hits = 0
+    for n in (2000, 5000):
+        for s in (1, 2, 3):
+            perm = random_permutation(n, s)
+            for d in (8, 16, 32):
+                res = build_decomposition(perm, d=d)
+                cells, xs, ys = res.cells, res.xs, res.ys
+                assert cells is not None
+                for bounds, lines in ((xs, cells.p), (ys, cells.q)):
+                    assert bounds[0] == 0 and bounds[-1] == n and len(bounds) - 1 == lines
+                    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+                M = Columns.of(cells)
+                for r in (2, 3, 4):
+                    for transposed in (False, True):
+                        rounds += 1
+                        sub = find_grid_or_reduce(M, r, transposed)
+                        if isinstance(sub, GridWitness):
+                            hits += 1
+                            assert verify_grid(perm, _lift(perm, sub, xs, ys, perm.word), r)
+    assert (rounds, hits) == (108, 89)
 
 
 def test_budget_variant_dense_branch_returns_heavy_cells():
@@ -415,7 +451,7 @@ STALL_FREE_CASES = {
 def test_builds_at_the_stall_free_budget_complete(perm):
     d = _stall_free_budget(len(perm))
     res = build_checked(perm, d=d)
-    assert res.seq is not None and res.width_bound == d
+    assert res.seq is not None
     assert verify_wide(perm, res.seq, d)
 
 
@@ -426,7 +462,7 @@ def test_stall_free_budget_is_tight_on_square_grids():
         assert build_decomposition(perm, d=_stall_free_budget(r * r) - 1).cells is not None
 
 
-def test_builder_output_beats_exhaustive_width_bound_never():
+def test_builder_output_never_beats_the_exhaustive_width():
     # the builder can't do better than the true width
     rng = random.Random(37)
     for _ in range(10):
