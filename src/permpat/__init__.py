@@ -36,11 +36,9 @@ from .decompose import (
     width_of_decomposition,
 )
 from .griddetect import (
-    PointSet,
+    Columns,
     f_bound,
     find_grid,
-    format_point_set,
-    parse_point_set,
 )
 from .matcher import (
     find_pattern,
@@ -64,6 +62,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Columns",
     "DecompositionResult",
     "Embedding",
     "GridWitness",
@@ -72,7 +71,6 @@ __all__ = [
     "ParseError",
     "Permutation",
     "Point",
-    "PointSet",
     "SizeCapError",
     "ValidationError",
     "brute_force_grid",
@@ -87,14 +85,12 @@ __all__ = [
     "format_embedding",
     "format_grid_witness",
     "format_merge_sequence",
-    "format_point_set",
     "greedy_monotone_partition",
     "grid_search",
     "match_auto",
     "parse_merge_sequence",
     "parse_monotone_partition",
     "parse_permutation",
-    "parse_point_set",
     "poly_space_match",
     "random_permutation",
     "random_separable",

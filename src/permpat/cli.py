@@ -41,10 +41,10 @@ from .decompose import (
     verify_wide,  # unused here; bench/tracing.py wraps permpat.cli.verify_wide by name
     width_of_decomposition,
 )
-from .griddetect import PointSet, f_bound, find_grid, format_point_set, parse_point_set
+from .griddetect import Columns, f_bound, find_grid, format_point_set, parse_point_set
 from .matcher import find_pattern, match_auto
 from .monotone import parse_monotone_partition, poly_space_match, t_monotone_match
-from .oracle import BRUTE_GRID_CAP, brute_force_match, exact_width, grid_search
+from .oracle import BRUTE_GRID_CAP, brute_force_grid, brute_force_match, exact_width, grid_search
 
 
 def _read_file(path: str) -> str:
@@ -155,7 +155,7 @@ def cmd_decompose(args) -> int:
         if args.verify and not _dense(cells.p, cells.q, len(cells), args.budget):
             raise ValidationError("internal: emitted cells are below the density threshold")
         print("CELLS")
-        print(format_point_set(cells))
+        print(format_point_set(cells.point_set()))
     return 0
 
 
@@ -166,20 +166,22 @@ def cmd_decompose(args) -> int:
 def cmd_grid(args) -> int:
     if (args.points is None) == (args.text is None and args.t is None):
         raise ValidationError("provide exactly one of --points and --text/-t")
-    if args.points is not None:
-        M = parse_point_set(_read_file(args.points))
-    else:
-        pi = _permutation_arg(args.text, args.t, "text")
-        M = PointSet(len(pi), len(pi), pi.points)
     r = args.r
-    if _dense(M.p, M.q, len(M), 4 * f_bound(r)):
-        w = find_grid(M, r)
-        print(format_grid_witness(w))
-        return 0
-    if len(M) > BRUTE_GRID_CAP:
-        raise SizeCapError("%d points are below the density threshold, and the exhaustive "
-                           "cut search is capped at %d" % (len(M), BRUTE_GRID_CAP))
-    w = grid_search(M.points, r)
+    d = 4 * f_bound(r)  # also rejects r < 1 and an r past the 64-bit range
+    if args.points is None:
+        # n points of an n x n box never pass the finder's bound: n <= f(r) (2n - 2)
+        w = brute_force_grid(_permutation_arg(args.text, args.t, "text"), r)
+    else:
+        # the bound reads only the box and the count, so a sparse set in a
+        # huge box never becomes one set per column
+        M = parse_point_set(_read_file(args.points))
+        if _dense(M.p, M.q, len(M), d):
+            print(format_grid_witness(find_grid(Columns.of(M), r)))
+            return 0
+        if len(M) > BRUTE_GRID_CAP:
+            raise SizeCapError("%d points are below the density threshold, and the exhaustive "
+                               "cut search is capped at %d" % (len(M), BRUTE_GRID_CAP))
+        w = grid_search(M.points, r)
     if w is None:
         print("NOT FOUND")
         return 1

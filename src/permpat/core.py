@@ -370,9 +370,9 @@ def validate_merge_sequence(seq: MergeSequence, n: int, *, require_complete: boo
 # ---------------------------------------------------------------------------
 
 def verify_grid(target, w: GridWitness, r: int) -> bool:
-    """Check an r x r grid witness against a permutation or a point set (or
-    its ``Columns``): one witness per cell, every witness a target point
-    inside its cell.  Cell (i, j) is the half-open box (col_cut[i-1],
+    """Check an r x r grid witness against a permutation or a point set held
+    as ``griddetect.Columns``: one witness per cell, every witness a target
+    point inside its cell.  Cell (i, j) is the half-open box (col_cut[i-1],
     col_cut[i]] x (row_cut[j-1], row_cut[j]] with outer cuts at +-infinity."""
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
@@ -384,12 +384,8 @@ def verify_grid(target, w: GridWitness, r: int) -> bool:
 
         def present(p: Point) -> bool:
             return 1 <= p.x <= n and word[p.x - 1] == p.y
-    elif hasattr(target, "points"):
-        # one pass over the points for the r^2 witnesses, no set of them all
-        wanted = {p for row in w.witnesses for p in row}
-        present = wanted.intersection(target.points).__contains__
     else:
-        present = target.__contains__  # the grid finder's column view
+        present = target.__contains__  # Columns: one set lookup per witness
     cc = (None,) + w.col_cuts + (None,)
     rc = (None,) + w.row_cuts + (None,)
     for j in range(r):

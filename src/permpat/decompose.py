@@ -64,7 +64,7 @@ from .core import (
     validate_merge_sequence,
     verify_grid,  # unused here; bench/tracing.py wraps permpat.decompose.verify_grid by name
 )
-from .griddetect import Columns, PointSet, _lift, f_bound, find_grid
+from .griddetect import Columns, _lift, f_bound, find_grid
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,14 @@ class DecompositionResult:
     """Outcome of build_decomposition: exactly one of ``seq`` (a complete
     d-wide merge sequence), ``grid`` (an r x r grid witness that
     ``griddetect._lift`` lifts from a dense gridding of a build from r) or
-    ``cells`` (a stall's occupied cells as sorted (column, row) int pairs,
-    from a budget d), with the line bounds ``_lift`` reads: column c spans
-    coordinates xs[c - 1] + 1 .. xs[c], and row c ys[c - 1] + 1 .. ys[c]."""
+    ``cells`` (a stall's occupied cells as ``Columns``, indexed by line
+    position, from a budget d), with the line bounds ``_lift`` reads:
+    column c spans coordinates xs[c - 1] + 1 .. xs[c], and row c
+    ys[c - 1] + 1 .. ys[c]."""
 
     seq: Optional[MergeSequence] = None
     grid: Optional[GridWitness] = None
-    cells: Optional[PointSet] = None
+    cells: Optional[Columns] = None
     xs: Optional[Tuple[int, ...]] = None
     ys: Optional[Tuple[int, ...]] = None
 
@@ -450,12 +451,13 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
 
     Returns a complete d-wide merge sequence, or a dense gridding's answer:
     an r x r grid witness that ``_lift`` lifts from its occupied-cell
-    pattern (from r), or that occupied-cell PointSet itself with its line
-    bounds (from d), which has more than (p + q - 2) d / 4 points.  From r,
-    one pass over the word finds the starting cells; a starting gridding
-    that already passes the grid finder's density bound goes straight to
-    the finder with no builder state, else the gridding is dense only where
-    the merging stalls.  From d, only a stall returns the cells.
+    pattern (from r), or those cells themselves as the ``Columns`` the
+    finder reads, with their line bounds (from d): more than
+    (p + q - 2) d / 4 of them.  From r, one pass over the word finds the
+    starting cells; a starting gridding that already passes the grid
+    finder's density bound goes straight to the finder with no builder
+    state, else the gridding is dense only where the merging stalls.
+    From d, only a stall returns the cells.
 
     ``stats``, when given, receives ``coarsen_cols`` and ``coarsen_rows``
     (line merges per axis), ``merges`` (merge steps made: 0 when the
@@ -506,5 +508,5 @@ def build_decomposition(perm: Permutation, r: Optional[int] = None, *,
     if not _dense(M.p, M.q, len(M), d):
         raise AssertionError("dense branch below threshold")
     if r is None:
-        return DecompositionResult(cells=M.point_set(), xs=xs, ys=ys)
+        return DecompositionResult(cells=M, xs=xs, ys=ys)
     return DecompositionResult(grid=_lift(perm, find_grid(M, r), xs, ys, perm.word))

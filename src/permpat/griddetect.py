@@ -11,12 +11,15 @@ much smaller set.  Each level costs O(|M|), and the recursion shrinks
 geometrically once the set is trimmed to within a constant factor of
 the density threshold.
 
-The finder reads M as ``Columns``, each column's set of occupied rows,
-which is how the decomposition builder holds its cells.  The round on M
-reads these sets a block column at a time; the round on the transpose
+The finder, the builder's stalled cells and the grid checker hold M in
+one form, ``Columns``: each column's set of occupied rows.  The round on
+M reads these sets a block column at a time; the round on the transpose
 reads a block row at a time, by membership tests over the columns.
 Neither copies nor sorts the points, so a hit in an early block column
-costs little more than reading that block column.
+costs little more than reading that block column.  ``PointSet`` is the
+checked form of the CLI's point-set file, which ``parse_point_set`` reads
+and ``format_point_set`` writes; ``Columns.of`` and ``Columns.point_set``
+convert between the two.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ class PointSet:
 
 class Columns:
     """Points inside [1..p] x [1..q] held column by column, as the grid
-    finder reads them and the builder holds its cells: ``cols[x]`` is the
-    set of 0-based rows occupied in column x + 1, and p = len(cols)."""
+    finder and ``verify_grid`` read them and the builder holds its cells:
+    ``cols[x]`` is the set of 0-based rows occupied in column x + 1, and
+    p = len(cols)."""
 
     __slots__ = ("p", "q", "cols")
 
@@ -154,8 +158,8 @@ def f_bound(r: int) -> int:
     return value
 
 
-def find_grid_or_reduce(M: Union[Columns, PointSet], r: int,
-                        transposed: bool = False) -> Union[GridWitness, Columns, PointSet]:
+def find_grid_or_reduce(M: Columns, r: int,
+                        transposed: bool = False) -> Union[GridWitness, Columns]:
     """One round of the block argument on M, or on its transpose.
 
     Blocks have side r^2, and a block is *wide* when it occupies at least
@@ -166,8 +170,7 @@ def find_grid_or_reduce(M: Union[Columns, PointSet], r: int,
     transposed) and returns the first such hit in block (x, y) scan order,
     in M's coordinates and verified, at the block column that completes
     it.  Otherwise it returns the contraction of the round's set to one
-    point per nonempty block (box shrinks by r^2 per axis).  A PointSet is
-    read as its ``Columns``, and its contraction returned as a PointSet.
+    point per nonempty block (box shrinks by r^2 per axis).
 
     Work: a hit in block column b reads b block columns.  A miss reads
     each point once, makes at most |M| membership tests and sorts each
@@ -176,9 +179,6 @@ def find_grid_or_reduce(M: Union[Columns, PointSet], r: int,
     """
     if r < 1:
         raise ValidationError("grid order must be >= 1, got %d" % r)
-    if isinstance(M, PointSet):
-        res = find_grid_or_reduce(Columns.of(M), r, transposed)
-        return res if isinstance(res, GridWitness) else res.point_set()
     side = r * r
     limit = r * comb(side, r)
     lines, depth, read = (M.q, M.p, _rows(M)) if transposed else (M.p, M.q, iter(M.cols))
@@ -246,10 +246,9 @@ def _block_witness(M: Columns, block_col: List, lo: int, S: List[int], ys: List[
     return w
 
 
-def find_grid(M: Union[Columns, PointSet], r: int) -> GridWitness:
-    """Find an r x r gridding of M (a PointSet is read as its ``Columns``);
-    requires the density precondition |M| > f(r) * (p + q - 2) with
-    p + q > 2, which guarantees existence.
+def find_grid(M: Columns, r: int) -> GridWitness:
+    """Find an r x r gridding of M; requires the density precondition
+    |M| > f(r) * (p + q - 2) with p + q > 2, which guarantees existence.
 
     Tries the block round on the transpose first, then on M itself; if
     both rounds reduce, recurses on the contracted set trimmed in row-major
@@ -258,8 +257,6 @@ def find_grid(M: Union[Columns, PointSet], r: int) -> GridWitness:
     with ``_lift`` (witness = smallest original point of its block).  The
     result is verified before every return.
     """
-    if isinstance(M, PointSet):
-        M = Columns.of(M)
     f = f_bound(r)
     if M.p + M.q <= 2:
         raise ValidationError("density precondition needs p + q > 2, got p = %d, q = %d"

@@ -28,7 +28,6 @@ from permpat import (
     ParseError,
     Permutation,
     Point,
-    PointSet,
     SizeCapError,
     ValidationError,
     build_decomposition,
@@ -36,6 +35,7 @@ from permpat import (
     validate_monotone_partition,
     verify_grid,
 )
+from permpat.griddetect import Columns, PointSet
 from permpat.matcher import Box
 from permpat.monotone import PatternAssignment
 
@@ -695,7 +695,7 @@ def whole_set_block_round(M: PointSet, r: int) -> Union[GridWitness, PointSet]:
                             [(ys[j] - 1) * side for j in range(1, r)],
                             [[Point(S[i], rep[(ys[j], S[i])]) for i in range(r)]
                              for j in range(r)])
-            if not verify_grid(M, w, r):
+            if not verify_grid(Columns.of(M), w, r):
                 raise AssertionError("reference witness failed verification")
             return w
     if not all(c < r * comb(side, r) for c in wide_per_col.values()):

@@ -13,11 +13,11 @@ import permpat
 from helpers import (canonical_grid_decomposition, is_separable, parse_embedding,
                      parse_grid_witness)
 from permpat import (
+    Columns,
     canonical_grid,
     format_merge_sequence,
     parse_merge_sequence,
     parse_permutation,
-    parse_point_set,
     random_permutation,
     random_separable,
     verify_embedding,
@@ -25,6 +25,7 @@ from permpat import (
     verify_wide,
 )
 from permpat.cli import main
+from permpat.griddetect import parse_point_set
 
 
 def run(capsys, *argv):
@@ -166,7 +167,7 @@ def test_grid_subcommand_dense_and_sparse(capsys):
         sys.stdin = old
     assert code == 0
     w = parse_grid_witness(out)
-    full = parse_point_set("\n".join(pts))
+    full = Columns.of(parse_point_set("\n".join(pts)))
     assert verify_grid(full, w, 2)
 
     sys.stdin = io.StringIO("3 3\n1 1\n2 2\n3 3")
@@ -174,6 +175,21 @@ def test_grid_subcommand_dense_and_sparse(capsys):
         code, out, _ = run(capsys, "grid", "--points", "-", "--r", "2")
     finally:
         sys.stdin = old
+    assert (code, out.strip()) == (1, "NOT FOUND")
+
+
+def test_grid_subcommand_never_turns_a_sparse_box_into_columns(capsys, monkeypatch):
+    # 3 points in a 10^12 x 10^12 box fail the density test, which reads
+    # only the box and the count; one set per column would be 10^12 sets
+    def no_columns(M):
+        raise AssertionError("Columns.of called on a sparse point set")
+
+    import io
+
+    monkeypatch.setattr(permpat.cli.Columns, "of", no_columns)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("1000000000000 1000000000000\n1 1\n2 2\n1000000000000 3"))
+    code, out, _ = run(capsys, "grid", "--points", "-", "--r", "2")
     assert (code, out.strip()) == (1, "NOT FOUND")
 
 

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,12 @@ from hypothesis import strategies as st
 import permpat
 from helpers import is_separable, parse_embedding, parse_grid_witness, substitute
 from permpat import (
+    Columns,
     GridWitness,
     MergeSequence,
     ParseError,
     Permutation,
     Point,
-    PointSet,
     ValidationError,
     canonical_grid,
     format_embedding,
@@ -29,6 +31,7 @@ from permpat import (
     verify_grid,
 )
 from permpat.core import reduce
+from permpat.griddetect import PointSet
 
 
 def test_parse_one_line():
@@ -211,16 +214,24 @@ def test_verify_grid_canonical_and_negative():
     # (1, 1) lies inside its cell but is no point of the target
     off = GridWitness([2], [2], [[Point(1, 1), Point(4, 2)], [Point(1, 3), Point(3, 4)]])
     assert not verify_grid(perm, off, 2)
-    cells = PointSet(4, 4, perm.points)
+    cells = Columns.of(PointSet(4, 4, perm.points))
     assert verify_grid(cells, w, 2)
     assert not verify_grid(cells, off, 2)
     # a permutation answers by one word lookup: a witness outside 1..n or
-    # at another height is no point of it (x = 0 must not read word[-1])
+    # at another height is no point of it (x = 0 must not read word[-1]).
+    # Columns answer by one membership test: x = 0, x = p + 1, y = 0 and
+    # y = q + 1 are no points of them (x = 0 must not read cols[-1])
     # (each stray witness lies inside its cell)
-    for bottom in ([Point(0, 2), Point(4, 2)], [Point(2, 1), Point(5, 1)],
-                   [Point(2, 1), Point(4, 1)]):
-        stray = GridWitness([2], [2], [bottom, [Point(1, 3), Point(3, 4)]])
-        assert not verify_grid(perm, stray, 2)
+    top = [Point(1, 3), Point(3, 4)]
+    for target, rows in [(perm, [[Point(0, 2), Point(4, 2)], top]),
+                         (perm, [[Point(2, 1), Point(5, 1)], top]),
+                         (perm, [[Point(2, 1), Point(4, 1)], top]),
+                         (cells, [[Point(0, 2), Point(4, 2)], top]),
+                         (cells, [[Point(2, 1), Point(5, 1)], top]),
+                         (cells, [[Point(2, 0), Point(4, 2)], top]),
+                         (cells, [[Point(2, 1), Point(4, 2)], [Point(1, 5), Point(3, 4)]])]:
+        stray = GridWitness([2], [2], rows)
+        assert not verify_grid(target, stray, 2)
 
 
 def test_parse_grid_witness_raises_parse_error_on_malformed_text():
@@ -257,24 +268,58 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(names) - {"__version__"}
     assert set(names) == {
-        "DecompositionResult", "Embedding", "GridWitness", "MergeSequence", "MonotonePartition",
-        "ParseError", "Permutation", "Point", "PointSet",
+        "Columns", "DecompositionResult", "Embedding", "GridWitness", "MergeSequence",
+        "MonotonePartition", "ParseError", "Permutation", "Point",
         "SizeCapError", "ValidationError", "brute_force_grid", "brute_force_match",
         "build_decomposition", "canonical_grid", "exact_width", "f_bound", "find_grid",
         "find_pattern", "first_violation", "format_embedding", "format_grid_witness",
-        "format_merge_sequence", "format_point_set", "greedy_monotone_partition",
+        "format_merge_sequence", "greedy_monotone_partition",
         "grid_search", "match_auto", "parse_merge_sequence", "parse_monotone_partition",
-        "parse_permutation", "parse_point_set", "poly_space_match", "random_permutation",
+        "parse_permutation", "poly_space_match", "random_permutation",
         "random_separable", "t_monotone_match", "validate_merge_sequence",
         "validate_monotone_partition", "verify_embedding", "verify_grid", "verify_wide",
         "width_of_decomposition", "__version__"}
-    # the internal steps of one layer stay importable from their modules
+    assert len(names) == 40
+    # the internal steps of one layer, and the CLI's point-set file form,
+    # stay importable from their modules
     for module, attr in [("core", "reduce"),
-                         ("griddetect", "find_grid_or_reduce"), ("matcher", "connected_sets"),
+                         ("griddetect", "find_grid_or_reduce"), ("griddetect", "PointSet"),
+                         ("griddetect", "parse_point_set"), ("griddetect", "format_point_set"),
+                         ("matcher", "connected_sets"),
                          ("matcher", "VisibilityGraph"), ("monotone", "sigma_pi_embedding"),
                          ("monotone", "PatternAssignment")]:
         assert attr not in names
         assert hasattr(importlib.import_module("permpat." + module), attr), (module, attr)
+
+
+def _entry_point_names(readme: str):
+    """The names in the first column of the README's "Selected entry
+    points" table: each backticked call or name, without its arguments."""
+    table = readme.split("Selected entry points", 1)[1].split("\n\n", 2)[1]
+    for row in table.splitlines()[2:]:
+        for span in re.findall(r"`([^`]*)`", row.split("|")[1]):
+            yield re.match(r"[\w.]+", span).group()
+
+
+def test_readme_entry_points_resolve():
+    # a plain name is importable from permpat; a dotted one from the
+    # module its row spells out (permpat.<module>.<name>), or as an
+    # attribute of a permpat name (Columns.of)
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = list(_entry_point_names(readme))
+    assert len(names) > 15 and "match_auto" in names, names
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        if head == "permpat":
+            obj, rest = importlib.import_module("permpat." + rest[0]), rest[1:]
+        else:
+            obj = getattr(permpat, head, None)
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("make", [

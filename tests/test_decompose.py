@@ -22,7 +22,6 @@ from permpat import (
     MergeSequence,
     Permutation,
     Point,
-    PointSet,
     ValidationError,
     build_decomposition,
     canonical_grid,
@@ -31,7 +30,6 @@ from permpat import (
     first_violation,
     format_grid_witness,
     format_merge_sequence,
-    format_point_set,
     parse_merge_sequence,
     parse_permutation,
     random_permutation,
@@ -45,7 +43,7 @@ import permpat
 import permpat.decompose
 from permpat.core import reduce
 from permpat.decompose import _axis_views, _ranks, _stall_free_budget
-from permpat.griddetect import Columns, _lift, find_grid_or_reduce
+from permpat.griddetect import Columns, _lift, find_grid_or_reduce, format_point_set
 
 
 def test_canonical_grid_decomposition_2x2_frozen_steps():
@@ -100,9 +98,9 @@ def test_builder_merge_order_is_pinned():
     assert hashlib.sha1(format_merge_sequence(seq).encode()).hexdigest() == \
         "e147b3cff1105a7692cf7ac05a04e75581dd62b8"
     cells = build_decomposition(random_permutation(3000, 1), d=5).cells
-    assert isinstance(cells, PointSet)
+    assert isinstance(cells, Columns)
     assert (cells.p, cells.q, len(cells)) == (600, 600, 2996)
-    assert hashlib.sha1(format_point_set(cells).encode()).hexdigest() == \
+    assert hashlib.sha1(format_point_set(cells.point_set()).encode()).hexdigest() == \
         "d3b450c307f407e5cc985e3bf8a251983aab88ea"
 
 
@@ -272,7 +270,7 @@ def test_a_build_from_d_merges_from_a_dense_start(monkeypatch):
     monkeypatch.setattr(permpat.decompose, "find_grid", no_finder)
     stats = {}
     cells = build_decomposition(random_permutation(100000, 1), d=384, stats=stats).cells
-    assert isinstance(cells, PointSet) and stats["dense"]
+    assert isinstance(cells, Columns) and stats["dense"]
     assert stats["merges"] == 100000 - len(cells) > 0
 
 
@@ -408,11 +406,10 @@ def test_a_stall_from_d_keeps_the_line_bounds_the_lift_reads():
                 for bounds, lines in ((xs, cells.p), (ys, cells.q)):
                     assert bounds[0] == 0 and bounds[-1] == n and len(bounds) - 1 == lines
                     assert all(a < b for a, b in zip(bounds, bounds[1:]))
-                M = Columns.of(cells)
                 for r in (2, 3, 4):
                     for transposed in (False, True):
                         rounds += 1
-                        sub = find_grid_or_reduce(M, r, transposed)
+                        sub = find_grid_or_reduce(cells, r, transposed)
                         if isinstance(sub, GridWitness):
                             hits += 1
                             assert verify_grid(perm, _lift(perm, sub, xs, ys, perm.word), r)
@@ -424,11 +421,11 @@ def test_budget_variant_dense_branch_returns_heavy_cells():
     res = build_decomposition(perm, d=2)
     assert res.seq is None and res.grid is None and not res.is_grid
     out = res.cells
-    assert isinstance(out, PointSet)
+    assert isinstance(out, Columns)
     assert out.p + out.q > 2
     assert 4 * len(out) > 2 * (out.p + out.q - 2)
     again = build_decomposition(perm, d=2).cells
-    assert out == again
+    assert out.point_set() == again.point_set()
 
 
 def test_stall_free_budget_is_the_least_budget_past_the_stall_bound():

@@ -6,21 +6,19 @@ import random
 import pytest
 
 from permpat import (
+    Columns,
     GridWitness,
     ParseError,
     Point,
-    PointSet,
     ValidationError,
     f_bound,
     find_grid,
     format_grid_witness,
-    format_point_set,
     grid_search,
-    parse_point_set,
     verify_grid,
 )
 import permpat.griddetect
-from permpat.griddetect import Columns, find_grid_or_reduce
+from permpat.griddetect import PointSet, find_grid_or_reduce, format_point_set, parse_point_set
 
 from helpers import whole_set_block_round
 
@@ -99,7 +97,8 @@ def test_find_blocks_on_packed_square():
     # 4x4 box is a single block of side r^2 = 4 when r = 2: one wide block
     # is no hit, so the round contracts it to one point
     pts = [Point(x, y) for x in range(1, 5) for y in range(1, 5)]
-    assert find_grid_or_reduce(PointSet(4, 4, pts), 2) == PointSet(1, 1, [(1, 1)])
+    res = find_grid_or_reduce(Columns.of(PointSet(4, 4, pts)), 2)
+    assert res.point_set() == PointSet(1, 1, [(1, 1)])
 
 
 def test_block_round_agrees_with_the_whole_set_round():
@@ -116,7 +115,9 @@ def test_block_round_agrees_with_the_whole_set_round():
         if case % 2:
             rng.shuffle(pts)
         M = PointSet(p, q, pts)
-        got, want = find_grid_or_reduce(M, r), whole_set_block_round(M, r)
+        got, want = find_grid_or_reduce(Columns.of(M), r), whole_set_block_round(M, r)
+        if isinstance(got, Columns):
+            got = got.point_set()
         assert type(got) is type(want) and got == want, (p, q, r, pts)
         seen[type(got)] += 1
     assert min(seen.values()) > 100, seen
@@ -188,14 +189,14 @@ def test_a_transposed_round_miss_makes_at_most_one_membership_test_per_point():
 
 def test_find_grid_requires_density():
     with pytest.raises(ValidationError):
-        find_grid(PointSet(10, 10, [Point(1, 1)]), 2)
+        find_grid(Columns.of(PointSet(10, 10, [Point(1, 1)])), 2)
 
 
 def test_find_grid_on_dense_random_sets():
     rng = random.Random(17)
     for _ in range(3):
         cells = rng.sample(range(200 * 200), 38300)
-        M = PointSet(200, 200, [Point(c // 200 + 1, c % 200 + 1) for c in cells])
+        M = Columns.of(PointSet(200, 200, [Point(c // 200 + 1, c % 200 + 1) for c in cells]))
         w = find_grid(M, 2)
         assert verify_grid(M, w, 2)
 
@@ -206,12 +207,12 @@ def test_find_grid_or_reduce_contracts_sparse_blocks():
     # whatever comes back must be a witness or a strictly smaller set
     pts = [Point(x, y) for x in range(1, 5) for y in range(1, 5)]
     pts += [Point(x + 100, y + 100) for x in range(1, 5) for y in range(1, 5)]
-    M = PointSet(104, 104, pts)
+    M = Columns.of(PointSet(104, 104, pts))
     res = find_grid_or_reduce(M, 2)
     if isinstance(res, GridWitness):
         assert verify_grid(M, res, 2)
     else:
-        assert isinstance(res, PointSet)
+        assert isinstance(res, Columns)
         assert res.p <= -(-M.p // 4) and res.q <= -(-M.q // 4)
 
 
@@ -219,7 +220,7 @@ def test_lifted_witness_points_are_original():
     rng = random.Random(23)
     cells = rng.sample(range(200 * 200), 39000)
     pts = [Point(c // 200 + 1, c % 200 + 1) for c in cells]
-    M = PointSet(200, 200, pts)
+    M = Columns.of(PointSet(200, 200, pts))
     w = find_grid(M, 2)
     pset = set(pts)
     for row in w.witnesses:

@@ -297,10 +297,11 @@ def test_witness_checks_survive_optimized_mode():
         import permpat.griddetect as gd
         import permpat.matcher as m
         import permpat.monotone as mono
-        from permpat import (DecompositionResult, PointSet, brute_force_grid,
+        from permpat import (Columns, DecompositionResult, brute_force_grid,
                              build_decomposition, canonical_grid, find_grid, find_pattern,
                              greedy_monotone_partition, match_auto, parse_permutation,
                              poly_space_match)
+        from permpat.griddetect import PointSet
 
         grid = canonical_grid(2, 2)
         witness = brute_force_grid(grid, 2)
@@ -321,7 +322,8 @@ def test_witness_checks_survive_optimized_mode():
         # dense enough for find_grid at r = 2: 40200 > f(2) * (200 + 201 - 2).
         # Its wide-block check sees the transpose (p = 201), and the check of
         # the transposed witness sees the set itself (p = 200)
-        tall = PointSet(200, 201, [(x, y) for x in range(1, 201) for y in range(1, 202)])
+        tall = Columns.of(PointSet(200, 201, [(x, y) for x in range(1, 201)
+                                              for y in range(1, 202)]))
 
         def grid_check(failing):
             gd.verify_grid = lambda target, w, r: target.p not in failing
