@@ -24,6 +24,8 @@ build cannot stall either, so ``match_auto`` builds at d0 instead and
 gets a complete sequence of width at most d0.  The only grid exit it
 gives up is a dense start of the paper build, which at such a budget
 needs all but fewer than m of the m x m starting cells occupied.
+Before that build it runs ``_interval_merges``, a stack pass that merges
+value-adjacent neighbours and completes, at width 1, on a separable word.
 
 ``verify_wide`` / ``width_of_decomposition`` replay a sequence and count,
 per axis, the live rectangles' low and high endpoints by rank.  A merged
@@ -422,6 +424,41 @@ def _stall_free_budget(n: int) -> int:
     while d < 2 * -(-n // d):
         d += 1
     return d
+
+
+def _interval_merges(word: Sequence[int]) -> Optional[List[Tuple[int, int, int]]]:
+    """The steps of one shift-reduce pass over the word, or None when it
+    ends with more than one block.  Blocks (rect, lowest, highest value)
+    are pushed label by label, and the top two merge, the earlier as i,
+    while their values are adjacent.
+
+    It completes exactly on a separable word (no 2 4 1 3, no 3 1 4 2).
+    Completed, it is a separating tree: each merge is a direct or skew sum
+    of two adjacent intervals, and live intervals share no projection, so
+    the width is 1.  Stopped with k >= 2 blocks, no neighbouring pair is
+    value-adjacent (a merge widens only the top block, which is then
+    tested again), so one point per block is a size-k pattern with no
+    interval of size 2.  Every separable permutation of size >= 2 has one,
+    and every pattern of a separable permutation is separable."""
+    stack: List[Tuple[int, int, int]] = []
+    steps: List[Tuple[int, int, int]] = []
+    k = len(word)
+    for rect, y in enumerate(word, 1):
+        lo = hi = y
+        while stack:
+            below, blo, bhi = stack[-1]
+            if bhi + 1 == lo:
+                lo = blo
+            elif hi + 1 == blo:
+                hi = bhi
+            else:
+                break
+            stack.pop()
+            k += 1
+            steps.append((below, rect, k))
+            rect = k
+        stack.append((rect, lo, hi))
+    return steps if len(stack) == 1 else None
 
 
 def _dense(p: int, q: int, cells: int, d: int) -> bool:

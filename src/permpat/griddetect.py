@@ -106,6 +106,11 @@ class Columns:
     def __len__(self) -> int:
         return sum(map(len, self.cols))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Columns):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.cols == other.cols
+
     def __contains__(self, pt) -> bool:
         x, y = pt
         return 0 < x <= self.p and y - 1 in self.cols[x - 1]

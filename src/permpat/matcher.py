@@ -37,6 +37,9 @@ embedding into the points of its rectangles, so the sweep stops at the
 first such entry it stores and unpacks its witness; the root entry, at
 the last step, is the latest such entry.  An absent pattern stores none,
 so it runs every step.
+
+On a separable target ``match_auto`` sweeps the width-1 sequence of
+``decompose._interval_merges``, whose table keys are single rectangles.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .core import (
     validate_merge_sequence,
     verify_embedding,
 )
-from .decompose import _stall_free_budget, build_decomposition
+from .decompose import _interval_merges, _stall_free_budget, build_decomposition
 from .griddetect import f_bound
 
 Box = Tuple[int, int, int, int]  # x1, x2, y1, y2
@@ -384,8 +387,10 @@ def find_pattern(sigma: Permutation, pi: Permutation, seq: MergeSequence,
 def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
     """Decide sigma ≼ pi outright.  When the paper budget 4 f(l), l =
     |sigma|, cannot stall on pi, neither can the smaller budget
-    d0 ≈ √(2n) of ``_stall_free_budget``: build at d0 and run find_pattern
-    on the narrower sequence.  Otherwise build with r = l.  A grid
+    d0 ≈ √(2n) of ``_stall_free_budget``.  There a separable pi (its
+    ``_interval_merges`` pass completes) holds no non-separable sigma, and
+    any other sigma runs find_pattern on the pass's width-1 sequence; any
+    other pi is built at d0.  Otherwise build with r = l.  A grid
     outcome is immediately affirmative — an l x l grid contains every
     pattern of length l, witnessed by picking, for the pattern's i-th
     position, the point in grid cell (i, value).  A merge-sequence
@@ -403,6 +408,11 @@ def match_auto(sigma: Permutation, pi: Permutation) -> Optional[Embedding]:
         return emb
     d0 = _stall_free_budget(n)
     if d0 <= 4 * f_bound(ell):
+        steps = _interval_merges(pi.word)
+        if steps is not None:
+            if _interval_merges(sigma.word) is None:
+                return None
+            return find_pattern(sigma, pi, MergeSequence._of_steps(steps))
         res = build_decomposition(pi, d=d0)
         if res.cells is not None:
             raise AssertionError("internal: build at the stall-free budget %d stalled" % d0)

@@ -169,6 +169,8 @@ def grid_search(points: Sequence[Point], r: int) -> Optional[GridWitness]:
         return None
     if r == 1:
         return GridWitness((), (), ((pts[0],),))
+    if len(pts) < r * r:  # r^2 nonempty cells need r^2 points
+        return None
     xs = sorted({p.x for p in pts})
     ys = sorted({p.y for p in pts})
     if len(xs) < r or len(ys) < r:

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -23,6 +24,7 @@ from permpat import (
     Permutation,
     Point,
     ValidationError,
+    brute_force_match,
     build_decomposition,
     canonical_grid,
     exact_width,
@@ -42,7 +44,7 @@ from permpat import (
 import permpat
 import permpat.decompose
 from permpat.core import reduce
-from permpat.decompose import _axis_views, _ranks, _stall_free_budget
+from permpat.decompose import _axis_views, _interval_merges, _ranks, _stall_free_budget
 from permpat.griddetect import Columns, _lift, find_grid_or_reduce, format_point_set
 
 
@@ -426,6 +428,35 @@ def test_budget_variant_dense_branch_returns_heavy_cells():
     assert 4 * len(out) > 2 * (out.p + out.q - 2)
     again = build_decomposition(perm, d=2).cells
     assert out.point_set() == again.point_set()
+
+
+def test_stalled_results_compare_by_their_cells():
+    perm = canonical_grid(5, 5)
+    assert build_decomposition(perm, d=2) == build_decomposition(perm, d=2)
+    cells = build_decomposition(perm, d=2).cells
+    assert cells == Columns(cells.q, [set(rows) for rows in cells.cols])
+    assert cells != Columns(cells.q + 1, cells.cols)
+    assert cells != Columns(cells.q, cells.cols[:-1])
+    assert cells != Columns(cells.q, [set(), *cells.cols[1:]])
+    assert cells != cells.point_set()
+
+
+def test_the_interval_pass_completes_exactly_on_separable_words():
+    absent = [parse_permutation("2 4 1 3"), parse_permutation("3 1 4 2")]
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            perm = Permutation(word)
+            separable = all(brute_force_match(s, perm) is None for s in absent)
+            assert (_interval_merges(word) is not None) == separable, word
+
+
+@pytest.mark.parametrize("n", [2, 17, 300, 2000])
+def test_the_interval_pass_on_a_separable_word_has_width_1(n):
+    for s in range(3):
+        perm = random_separable(n, s)
+        seq = MergeSequence._of_steps(_interval_merges(perm.word))
+        validate_merge_sequence(seq, n, require_complete=True)
+        assert width_of_decomposition(perm, seq) == 1
 
 
 def test_stall_free_budget_is_the_least_budget_past_the_stall_bound():

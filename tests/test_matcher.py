@@ -287,7 +287,9 @@ def test_a_present_pattern_ends_the_sweep_early(pattern, n, seed):
 
 def test_witness_checks_survive_optimized_mode():
     # under ``python -O`` a failed witness check must still raise, on the
-    # DP, on each of match_auto's three exits, on the t-monotone track, in
+    # DP, on each of match_auto's four exits that return an embedding (the
+    # single label, the interval sequence of a separable target, the
+    # sequence built at d0 and the grid), on the t-monotone track, in
     # the grid finder, in the builder's invariant check and in the
     # t-monotone decomposition's pin bound
     script = textwrap.dedent("""
@@ -346,6 +348,8 @@ def test_witness_checks_survive_optimized_mode():
         for name, call in [("find_pattern", lambda: find_pattern(p12, pi, seq)),
                            ("single", lambda: match_auto(parse_permutation("1"), pi)),
                            ("sequence", lambda: match_auto(p12, pi)),
+                           ("built sequence",
+                            lambda: match_auto(p12, parse_permutation("2 4 1 3"))),
                            ("grid", lambda: grid_exit(p21, big)),
                            ("poly_space_match", lambda: poly_space_match(p12, pi)),
                            ("find_grid", lambda: grid_check({200, 201})),
@@ -366,7 +370,8 @@ def test_witness_checks_survive_optimized_mode():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
-        "optimize 1", "find_pattern raised", "single raised", "sequence raised", "grid raised",
+        "optimize 1", "find_pattern raised", "single raised", "sequence raised",
+        "built sequence raised", "grid raised",
         "poly_space_match raised", "find_grid raised", "find_grid transposed raised",
         "builder invariants raised", "monotone_decomposition raised"]
 
@@ -382,6 +387,20 @@ TARGETS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(TARGETS, st.integers(1, 4).flatmap(lambda ell: st.permutations(range(1, ell + 1))))
 def test_match_auto_agrees_with_brute_force_on_random_instances(pi, pattern):
+    sigma = Permutation(pattern)
+    got = match_auto(sigma, pi)
+    assert (got is None) == (brute_force_match(sigma, pi) is None)
+    if got is not None:
+        assert verify_embedding(sigma, pi, got)
+
+
+SEPARABLE = st.builds(random_separable, st.integers(1, 12), st.integers(0, 1 << 30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SEPARABLE, st.integers(1, 5).flatmap(lambda ell: st.permutations(range(1, ell + 1))))
+def test_match_auto_agrees_with_brute_force_on_separable_targets(pi, pattern):
+    # the interval pass answers every one of these without a build
     sigma = Permutation(pattern)
     got = match_auto(sigma, pi)
     assert (got is None) == (brute_force_match(sigma, pi) is None)
@@ -406,7 +425,8 @@ def test_match_auto_builds_at_the_stall_free_budget_only_below_the_paper_one(
         raise _Spied
 
     monkeypatch.setattr(permpat.matcher, "build_decomposition", spy)
-    pi = Permutation(range(1, n + 1))
+    # not separable, so the interval pass does not answer first
+    pi = Permutation([2, 4, 1, 3, *range(5, n + 1)])
     with pytest.raises(_Spied):
         match_auto(parse_permutation("1 2"), pi)
     assert calls == [((pi, *args), kwargs)]

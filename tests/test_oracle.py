@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import permpat.oracle
 from helpers import (
     check_tree_characterization,
     find_close_pair,
@@ -95,6 +96,16 @@ def test_brute_force_grid_examples():
     assert brute_force_grid(parse_permutation("1 2 3 4"), 2) is None
     for line in ["1", "2 1 3"]:
         assert brute_force_grid(parse_permutation(line), 1) is not None
+
+
+def test_grid_search_with_fewer_points_than_cells_enumerates_no_cuts(monkeypatch):
+    def spy(*args):
+        raise AssertionError("combinations called")
+
+    monkeypatch.setattr(permpat.oracle, "combinations", spy)
+    for r in (5, 6):
+        assert brute_force_grid(random_permutation(16, 1), r) is None
+    assert grid_search([(1, 1), (2, 3), (3, 2)], 2) is None
 
 
 def test_grid_search_agrees_with_permutation_wrapper():
